@@ -14,26 +14,28 @@
 //! whatever [`crate::ToolChoice`] the session was started with keeps
 //! receiving events across IC reloads.
 
+use crate::builder::AdaptiveRunBuilder;
 use crate::lifecycle::{LifecycleCounters, LifecycleScript, LifecycleStats};
 use crate::postmortem::{DumpTrigger, PostMortem};
 use crate::startup::{DynCapiError, Session};
 use capi_adapt::{
     AdaptController, CallChildren, EpochView, FuncSample, RegionSample, WarmStartStats,
 };
-use capi_exec::{Engine, EpochSpec};
+use capi_exec::{Engine, EpochOutcome, EpochSpec};
 use capi_mpisim::World;
 use capi_obs::{
-    pct_to_ppm, EpochHealth, HealthConfig, HealthMonitor, HealthReport, RecordKind, Telemetry,
-    CONTROL_RANK,
+    pct_to_ppm, DetectorKind, EpochHealth, HealthConfig, HealthMonitor, HealthReport, RecordKind,
+    SpanGuard, Telemetry, CONTROL_RANK,
 };
 use capi_persist::{
     fingerprint_object, plan_object_matches, InstrumentationProfile, ObjectMatch, ObjectRecord,
     PersistError,
 };
 use capi_talp::EfficiencyReport;
-use capi_xray::PackedId;
+use capi_xray::{PackedId, PatchDelta, RepatchReport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How a warm start was requested.
 ///
@@ -98,7 +100,7 @@ pub struct EpochRecord {
 }
 
 /// Outcome of an adaptive (single-session, zero-restart) run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AdaptiveRun {
     /// The adaptation trajectory, one record per epoch.
     pub records: Vec<EpochRecord>,
@@ -148,546 +150,547 @@ pub struct AdaptiveRun {
     pub post_mortem: Option<PostMortem>,
 }
 
-impl Session {
-    /// Runs the program once, split into `epochs` epochs, applying the
-    /// controller's IC delta at every epoch boundary — zero restarts.
-    ///
-    /// The controller is seeded with the session's initially patched
-    /// functions and pinned on the schedule's spine (functions whose
-    /// entry/exit straddle epoch boundaries).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `AdaptiveRunBuilder::run_with_controller` (or `AdaptiveRunBuilder::run`)"
-    )]
-    pub fn run_adaptive(
-        &mut self,
-        controller: &mut AdaptController,
-        epochs: usize,
-    ) -> Result<AdaptiveRun, DynCapiError> {
-        crate::AdaptiveRunBuilder::new()
-            .epochs(epochs)
-            .run_with_controller(self, controller, None)
-    }
+/// The state of one adaptive run, with one method per stage of an
+/// epoch: lifecycle ops → bind → (epoch 0) setup and warm start → run →
+/// observe → decide → unload races → repatch → health.
+struct RunState<'a> {
+    controller: &'a mut AdaptController,
+    /// The runtime's instance — authoritative (set-once): a builder
+    /// installing a second telemetry on a reused runtime reports into
+    /// the one the runtime actually folds its counters into.
+    tel: Option<Telemetry>,
+    lifecycle: Option<&'a LifecycleScript>,
+    /// Set once per run: a lifecycle script makes every stage tolerate
+    /// DSO churn — `Engine::prepare_lenient` drops unresolved call
+    /// targets, `repatch_surviving` skips vanished objects, and a
+    /// faulted repatch drops its delta. Without a script, any of these
+    /// is an error.
+    tolerant: bool,
+    epochs: usize,
+    redundancy_ppm: u32,
+    world: Arc<World>,
+    /// The outcome, accumulated epoch by epoch: records, rank clocks
+    /// (`per_rank_ns`), event and `T_adapt` totals, efficiency, warm
+    /// start and post-mortem.
+    out: AdaptiveRun,
+    /// The instrumentable call tree, shared across epochs (a property of
+    /// the loaded objects, not of the patch state).
+    children: CallChildren,
+    lc_stats: LifecycleStats,
+    lc_counters: Option<LifecycleCounters>,
+    monitor: HealthMonitor,
+    baseline_events: Option<u64>,
+    /// Unload races armed at the epoch boundary, executed between the
+    /// controller's decision and the repatch applying it.
+    pending_races: Vec<String>,
+    dumps_written: usize,
+    /// Typed-degradation high-water mark: any increase across an epoch
+    /// boundary (failed dlopens, abandoned opens, degraded repatches,
+    /// unload races — fired faults always surface as one of these) is a
+    /// dump trigger.
+    degradations_seen: u64,
+}
 
-    /// [`Self::run_adaptive`] with an optional warm start: the
-    /// controller is seeded from a prior run's instrumentation profile
-    /// *before* epoch 0 — prior drops are pre-trimmed, the converged
-    /// IC's extra members pre-grown (one repatch batch, accounted into
-    /// `T_adapt`), and the profile's cost samples replace the
-    /// controller's flat expansion-cost assumption.
-    ///
-    /// Profiles survive process changes: objects are matched by name +
-    /// content fingerprint (see [`Session::object_records`]), so a DSO
-    /// re-registered under a recycled XRay object ID is remapped, a
-    /// rebuilt object has its functions re-resolved by symbol name, and
-    /// records of vanished objects are discarded rather than aliased
-    /// onto whatever now owns the stale packed IDs. A requested-but-
-    /// unloadable profile ([`WarmStart::Unavailable`]) degrades to a
-    /// cold start with the reason in the adaptation log.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `AdaptiveRunBuilder::run_with_controller` (or `AdaptiveRunBuilder::run` with a profile source)"
-    )]
-    pub fn run_adaptive_warm(
-        &mut self,
-        controller: &mut AdaptController,
-        epochs: usize,
-        warm: Option<WarmStart<'_>>,
-    ) -> Result<AdaptiveRun, DynCapiError> {
-        crate::AdaptiveRunBuilder::new()
-            .epochs(epochs)
-            .run_with_controller(self, controller, warm)
+/// Runs the epoch loop `cfg` describes on `session` — the one adaptive
+/// run behind both [`AdaptiveRunBuilder`] entry points. The controller
+/// is seeded with the session's patched functions and pinned on the
+/// schedule's spine before epoch 0, and applies its delta at every
+/// epoch boundary with zero restarts.
+pub(crate) fn run_epochs(
+    cfg: &AdaptiveRunBuilder,
+    session: &mut Session,
+    controller: &mut AdaptController,
+    mut warm: Option<WarmStart<'_>>,
+) -> Result<AdaptiveRun, DynCapiError> {
+    let mut run = RunState::new(cfg, session, controller);
+    let run_span = run.tel.as_ref().map(|t| t.span("dyncapi.run"));
+    let run_wall = Instant::now();
+    for epoch in 0..run.epochs {
+        run.lifecycle_ops(session, epoch);
+        let mut engine = run.bind(session)?;
+        if epoch == 0 {
+            if let Some(profile) = run.setup(session, &engine, warm.take()) {
+                // Only a warm start pays a second prepare: its batch
+                // invalidates the snapshot just taken.
+                drop(engine);
+                run.warm_start(session, profile)?;
+                engine = run.bind(session)?;
+            }
+        }
+        let out = run.run_epoch(&engine, epoch)?;
+        let view = run.observe(session, out, epoch);
+        let delta = run.controller.on_epoch(&view);
+        run.unload_races(session, epoch);
+        run.repatch(session, &view, &delta)?;
+        run.check_health(session, &view, !delta.is_empty());
     }
+    Ok(run.finish(session, run_span, run_wall))
+}
 
-    /// The shared epoch loop behind every adaptive entry point.
-    /// `redundancy_ppm` is forwarded to the engine each epoch;
-    /// `health_cfg` parameterizes the per-epoch anomaly detectors and
-    /// `baseline_events` seeds the event-volume regression detector
-    /// (when `None`, a warm-start profile's prediction is used, else
-    /// the detector stays inert).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_adaptive_inner(
-        &mut self,
-        controller: &mut AdaptController,
-        epochs: usize,
-        warm: Option<WarmStart<'_>>,
-        redundancy_ppm: u32,
-        lifecycle: Option<&LifecycleScript>,
-        health_cfg: HealthConfig,
-        baseline_events: Option<u64>,
-    ) -> Result<AdaptiveRun, DynCapiError> {
-        let epochs = epochs.max(1);
-        let mut monitor = HealthMonitor::new(health_cfg);
-        let mut baseline_events = baseline_events;
-        let mut post_mortem: Option<PostMortem> = None;
-        let mut dumps_written = 0usize;
-        // Typed-degradation high-water mark: any increase across an
-        // epoch boundary (failed dlopens, abandoned opens, degraded
-        // repatches, unload races — fired faults always surface as one
-        // of these) is a dump trigger.
-        let mut prev_degradations = 0u64;
-        // The runtime's instance is authoritative (set-once): a builder
-        // installing a second telemetry on a reused runtime reports into
-        // the one the runtime actually folds its counters into.
-        let tel = self.runtime.telemetry().cloned();
-        // DSO churn: a script switches the whole loop onto the lenient
-        // paths — `Engine::prepare_lenient` (unresolved call targets are
-        // dropped and counted, not fatal) and `repatch_surviving` (a
-        // delta referencing a vanished object skips it, never panics,
-        // never aliases a recycled slot).
-        let lenient = lifecycle.is_some();
-        let mut lc_stats = LifecycleStats::default();
+impl<'a> RunState<'a> {
+    fn new(
+        cfg: &'a AdaptiveRunBuilder,
+        session: &mut Session,
+        controller: &'a mut AdaptController,
+    ) -> Self {
+        let tel = session.runtime.telemetry().cloned();
+        let lifecycle = cfg.lifecycle.as_ref();
         let lc_counters = match (&tel, lifecycle) {
             (Some(t), Some(_)) => Some(LifecycleCounters::new(t)),
             _ => None,
         };
         if let Some(plan) = lifecycle.and_then(|s| s.take_fault_plan()) {
-            self.process.set_fault_plan(plan);
+            session.process.set_fault_plan(plan);
         }
-        // Unload races armed at the epoch boundary, executed between the
-        // controller's decision and the repatch applying it.
-        let mut pending_races: Vec<String> = Vec::new();
-        let mut next_lifecycle_epoch = 0usize;
-        let run_span = tel.as_ref().map(|t| t.span("dyncapi.run"));
-        let run_wall = std::time::Instant::now();
-        let world = World::new(self.config.ranks, self.config.mpi_cost);
-        if let Some(talp) = &self.talp {
+        let world = World::new(session.config.ranks, session.config.mpi_cost);
+        if let Some(talp) = &session.talp {
             world.add_hook(talp.clone());
         }
-        let mut clocks = vec![0u64; self.config.ranks as usize];
-        let mut records = Vec::with_capacity(epochs);
-        let mut efficiency = EfficiencyReport::new();
-        let mut children: CallChildren = CallChildren::default();
-        let mut warm = warm;
-        let mut warm_summary: Option<WarmStartSummary> = None;
-        let mut initialized = false;
-        let (mut events, mut nops, mut cutoffs, mut adapt_ns) = (0u64, 0u64, 0u64, 0u64);
-        let (mut skips, mut suppressed) = (0u64, 0u64);
-        let mut epoch = 0usize;
-        while epoch < epochs {
-            // Lifecycle ops scheduled at this boundary run before the
-            // engine snapshots (once per epoch — the warm-start path
-            // re-enters the loop body for epoch 0 without re-churning).
-            if let Some(script) = lifecycle {
-                if epoch >= next_lifecycle_epoch {
-                    next_lifecycle_epoch = epoch + 1;
-                    let el = crate::lifecycle::apply_epoch_ops(
-                        self,
-                        script,
-                        epoch,
-                        &mut lc_stats,
-                        lc_counters.as_ref(),
-                    );
-                    adapt_ns += el.ns;
-                    for note in &el.notes {
-                        controller.log_note(note);
-                    }
-                    for oid in &el.invalidated {
-                        controller.invalidate_object(*oid);
-                    }
-                    // The controller adopts the fresh object's patched
-                    // functions so the budget governs them too.
-                    for oid in &el.opened {
-                        let adopted: Vec<_> = self
-                            .runtime
-                            .patched_ids()
-                            .into_iter()
-                            .filter(|id| id.object() == *oid)
-                            .map(|id| (id, self.display_name(id)))
-                            .collect();
-                        controller.begin(adopted);
-                    }
-                    pending_races.extend(el.races);
-                }
-            }
-            // Re-prepare against the current patch state: the snapshot
-            // and quiet-subtree analysis pick up the last delta (and,
-            // at epoch 0, the warm-start batch).
-            let mut engine = if lenient {
-                Engine::prepare_lenient(&self.process, &self.runtime, self.config.overhead)
-            } else {
-                Engine::prepare(&self.process, &self.runtime, self.config.overhead)
-            }
-            .map_err(DynCapiError::Exec)?
-            .with_redundancy_ppm(redundancy_ppm);
-            lc_stats.unresolved_calls = lc_stats.unresolved_calls.max(engine.unresolved_calls());
-            if let Some(t) = &tel {
-                engine = engine.with_telemetry(t.clone());
-            }
-            if !initialized {
-                initialized = true;
-                // Setup: seed the controller from the startup patch
-                // state, pin the spine, and share the instrumentable
-                // call tree across epochs (it is a property of the
-                // loaded objects, not of the patch state). Hint every
-                // sled-bearing function's name so expansion decisions
-                // log readably.
-                let names: Vec<_> = self
-                    .runtime
-                    .patched_ids()
-                    .into_iter()
-                    .map(|id| (id, self.display_name(id)))
-                    .collect();
-                controller.begin(names);
-                controller.pin(engine.spine_sled_ids());
-                let tree = engine.call_children();
-                controller.hint_names(
-                    tree.iter()
-                        .map(|&(parent, _)| (parent, self.display_name(parent))),
-                );
-                children = Arc::new(
-                    tree.into_iter()
-                        .map(|(parent, kids)| {
-                            (parent.raw(), kids.into_iter().map(|k| k.raw()).collect())
-                        })
-                        .collect(),
-                );
-                // Warm start: apply the profile's converged state as
-                // one repatch batch before the program runs its first
-                // epoch. Only this path pays an extra Engine::prepare
-                // (the repatch invalidates the snapshot just taken);
-                // cold runs reuse the engine for epoch 0 directly.
-                match warm.take() {
-                    None => {}
-                    Some(WarmStart::Unavailable(err)) => {
-                        controller.log_note(&format!("warm start unavailable: {err} — cold start"));
-                        if let Some(t) = &tel {
-                            t.instant(
-                                "dyncapi.cold_start",
-                                &[
-                                    ("kind", err.kind().to_string()),
-                                    ("reason", err.to_string()),
-                                ],
-                            );
-                        }
-                    }
-                    Some(WarmStart::Profile(profile)) => {
-                        // The profile predicts the warm run's per-epoch
-                        // event volume — the regression detector's
-                        // baseline unless the caller provided one.
-                        baseline_events =
-                            baseline_events.or_else(|| profile.baseline_epoch_events());
-                        drop(engine);
-                        let mut summary = self.plan_warm_start(controller, profile, tel.as_ref());
-                        let (delta, seed) = controller.seed_from_profile(profile, &summary.idmap);
-                        summary.summary.seed = seed;
-                        let rep = self.apply_delta_resilient(
-                            &delta,
-                            lenient,
-                            "warm start",
-                            controller,
-                            &mut lc_stats,
-                            lc_counters.as_ref(),
-                        )?;
-                        let warm_ns = repatch_cost_ns(&self.config.init_costs, &rep);
-                        summary.summary.adapt_ns = warm_ns;
-                        adapt_ns += warm_ns;
-                        if let Some(t) = &tel {
-                            let s = &summary.summary;
-                            t.instant(
-                                "dyncapi.warm_start",
-                                &[
-                                    ("objects_unchanged", s.objects_unchanged.to_string()),
-                                    ("objects_remapped", s.objects_remapped.to_string()),
-                                    ("objects_rebuilt", s.objects_rebuilt.to_string()),
-                                    ("objects_missing", s.objects_missing.to_string()),
-                                    ("functions_rebound", s.functions_rebound.to_string()),
-                                    ("pre_trimmed", s.seed.pre_trimmed.to_string()),
-                                    ("pre_grown", s.seed.pre_grown.to_string()),
-                                    ("adapt_ns", s.adapt_ns.to_string()),
-                                ],
-                            );
-                        }
-                        warm_summary = Some(summary.summary);
-                        continue;
-                    }
-                }
-            }
-            let out = engine
-                .run_epoch(
-                    &world,
-                    EpochSpec {
-                        index: epoch,
-                        total: epochs,
-                    },
-                    &clocks,
-                )
-                .map_err(DynCapiError::Exec)?;
-            clocks.clone_from(&out.per_rank_ns);
-            events += out.events;
-            nops += out.nop_sleds;
-            cutoffs += out.depth_cutoffs;
-            skips += out.sampled_skips;
-            suppressed += out.suppressed_events;
-            // Build the region samples once (one name resolution per
-            // region), then derive the efficiency record from the same
-            // sample — the report and the policies see identical data
-            // by construction.
-            let talp: Vec<RegionSample> = out
-                .talp_samples
-                .iter()
-                .map(|r| RegionSample {
-                    id: r.id,
-                    name: self.display_name(r.id),
-                    enters: r.enters,
-                    elapsed_ns: r.elapsed_ns,
-                    useful_per_rank: r.useful_per_rank.clone(),
-                    mpi_per_rank: r.mpi_per_rank.clone(),
-                })
-                .collect();
-            for r in &talp {
-                efficiency.record(epoch, r.id.raw(), &r.name, r.efficiency());
-            }
-            let view = EpochView {
-                epoch,
-                epoch_ns: out.epoch_ns,
-                busy_ns: out.busy_ns,
-                inst_ns: out.inst_ns,
-                events: out.events,
-                samples: out
-                    .samples
-                    .iter()
-                    .map(|s| FuncSample {
-                        id: s.id,
-                        name: self.display_name(s.id),
-                        visits: s.visits,
-                        inst_ns: s.inst_ns,
-                        body_cost_ns: s.body_cost_ns,
-                        rate: s.rate,
-                    })
-                    .collect(),
-                talp,
-                children: children.clone(),
-            };
-            let overhead_pct = view.overhead_pct();
-            let delta = controller.on_epoch(&view);
-            // Armed unload races strike here: the delta above was
-            // computed against an object that is about to vanish.
-            for victim in std::mem::take(&mut pending_races) {
-                match self.unload_dso(&victim) {
-                    Ok(oid) => {
-                        lc_stats.closed += 1;
-                        lc_stats.unload_races += 1;
-                        if let Some(c) = &lc_counters {
-                            c.record_race();
-                        }
-                        controller.log_note(&format!(
-                            "lifecycle: unload race closed `{victim}` before the epoch {epoch} repatch"
-                        ));
-                        if let Some(oid) = oid {
-                            controller.invalidate_object(oid);
-                        }
-                    }
-                    Err(e) => controller.log_note(&format!(
-                        "lifecycle: unload race on `{victim}` refused [{}]: {e}",
-                        crate::lifecycle::error_kind(&e)
-                    )),
-                }
-            }
-            let label = format!("epoch {epoch}");
-            let rep = self.apply_delta_resilient(
-                &delta,
-                lenient,
-                &label,
-                controller,
-                &mut lc_stats,
-                lc_counters.as_ref(),
-            )?;
-            let epoch_adapt_ns = repatch_cost_ns(&self.config.init_costs, &rep);
-            adapt_ns += epoch_adapt_ns;
-            records.push(EpochRecord {
-                epoch,
-                epoch_ns: out.epoch_ns,
-                events: out.events,
-                inst_ns: out.inst_ns,
-                overhead_pct,
-                active_after: self.runtime.patched_functions(),
-                sleds_patched: rep.sleds_patched,
-                sleds_unpatched: rep.sleds_unpatched,
-                adapt_ns: epoch_adapt_ns,
-            });
-            // Per-epoch health evaluation: the detectors are pure and
-            // cheap, so they run with or without telemetry.
-            let fired = monitor.observe(&EpochHealth {
-                epoch,
-                overhead_ppm: pct_to_ppm(overhead_pct),
-                budget_ppm: pct_to_ppm(controller.budget_pct()),
-                progressed: !delta.is_empty(),
-                converged: controller.converged_at().is_some(),
-                events: out.events,
-                baseline_events,
-            });
-            for a in &fired {
-                controller.log_note(&format!(
-                    "health: {} detector fired at epoch {}: {}",
-                    a.kind.as_str(),
-                    a.epoch,
-                    a.detail
-                ));
-                if let Some(t) = &tel {
-                    let c = t.counter(match a.kind {
-                        capi_obs::DetectorKind::Overhead => "health.overhead_firings",
-                        capi_obs::DetectorKind::Stall => "health.stall_firings",
-                        capi_obs::DetectorKind::Volume => "health.volume_firings",
-                    });
-                    t.add_control(c, 1);
-                    t.record(
-                        CONTROL_RANK,
-                        RecordKind::Health,
-                        "health.anomaly",
-                        format!("{} {}", a.kind.as_str(), a.detail),
-                    );
-                }
-            }
-            // First trigger — typed degradation or detector firing —
-            // dumps the black box; the run continues either way.
-            if post_mortem.is_none() {
-                let degradations = lc_stats.dlopen_failed
-                    + lc_stats.opens_abandoned
-                    + lc_stats.degraded_repatches
-                    + lc_stats.unload_races;
-                let trigger = if degradations > prev_degradations {
-                    Some(DumpTrigger::Degradation {
-                        detail: format!(
-                            "{} typed degradations by epoch {epoch} ({} new)",
-                            degradations,
-                            degradations - prev_degradations
-                        ),
-                    })
-                } else {
-                    fired.first().map(|a| match a.kind {
-                        capi_obs::DetectorKind::Overhead => DumpTrigger::BudgetOverrun { epoch },
-                        capi_obs::DetectorKind::Stall => DumpTrigger::ConvergenceStall { epoch },
-                        capi_obs::DetectorKind::Volume => DumpTrigger::VolumeRegression { epoch },
-                    })
-                };
-                prev_degradations = degradations;
-                if let Some(trigger) = trigger {
-                    controller.log_note(&format!(
-                        "health: post-mortem dump ({}) at epoch {epoch}",
-                        trigger.label()
-                    ));
-                    let (generation, dispatch) = self.runtime.dispatch_summary();
-                    let dump = PostMortem::build(
-                        trigger,
-                        epoch,
-                        tel.as_ref(),
-                        generation,
-                        &dispatch,
-                        controller.log_lines(),
-                        monitor.report(),
-                    );
-                    if let Some(path) = capi_obs::dump_out_from_env() {
-                        if let Err(e) = dump.write_json(&path) {
-                            controller.log_note(&format!("dump write failed ({path}): {e}"));
-                        }
-                    }
-                    dumps_written += 1;
-                    post_mortem = Some(dump);
-                }
-            } else {
-                prev_degradations = lc_stats.dlopen_failed
-                    + lc_stats.opens_abandoned
-                    + lc_stats.degraded_repatches
-                    + lc_stats.unload_races;
-            }
-            epoch += 1;
+        let epochs = cfg.epochs.max(1);
+        Self {
+            controller,
+            tel,
+            lifecycle,
+            tolerant: lifecycle.is_some(),
+            epochs,
+            redundancy_ppm: cfg.redundancy_ppm.unwrap_or(session.config.redundancy_ppm),
+            world,
+            out: AdaptiveRun {
+                per_rank_ns: vec![0; session.config.ranks as usize],
+                records: Vec::with_capacity(epochs),
+                ..AdaptiveRun::default()
+            },
+            children: CallChildren::default(),
+            lc_stats: LifecycleStats::default(),
+            lc_counters,
+            monitor: HealthMonitor::new(cfg.health.unwrap_or_else(HealthConfig::from_env)),
+            baseline_events: cfg.baseline_events,
+            pending_races: Vec::new(),
+            dumps_written: 0,
+            degradations_seen: 0,
         }
-        let run_ns = clocks.iter().copied().max().unwrap_or(0);
-        // Fold the run's event-volume reductions into the adaptation-log
-        // summary and sync the dispatch counters into the registry one
-        // final time (they were last synced at the final publish).
-        controller.record_event_volume(skips, suppressed);
-        let health = monitor.into_report();
-        controller.record_health(
-            dumps_written,
-            [
-                health.overhead_firings,
-                health.stall_firings,
-                health.volume_firings,
-            ],
-        );
-        self.runtime.sync_telemetry();
-        if let Some(span) = &run_span {
-            span.arg("epochs", records.len());
-            span.arg("events", events);
-            span.arg("run_ns", run_ns);
-            span.arg("t_init_ns", self.report.init_ns);
-            span.arg("t_adapt_ns", adapt_ns);
-            span.wall_ns(run_wall.elapsed().as_nanos() as u64);
-        }
-        Ok(AdaptiveRun {
-            records,
-            per_rank_ns: clocks,
-            run_ns,
-            events,
-            nop_sleds: nops,
-            depth_cutoffs: cutoffs,
-            sampled_skips: skips,
-            suppressed_events: suppressed,
-            init_ns: self.report.init_ns,
-            adapt_ns,
-            total_ns: self.report.init_ns + adapt_ns + run_ns,
-            restarts: 0,
-            warm: warm_summary,
-            lifecycle: lifecycle.map(|_| lc_stats),
-            efficiency,
-            health,
-            post_mortem,
-        })
     }
 
-    /// Applies one repatch batch. On the strict path this is
-    /// `XRayRuntime::repatch` with errors propagated. On the lenient
-    /// (lifecycle) path it is `repatch_surviving` — vanished objects
-    /// are skipped and counted — and an injected environment fault
+    /// Lifecycle ops scheduled at this boundary, run before the engine
+    /// binds to the patch state.
+    fn lifecycle_ops(&mut self, session: &mut Session, epoch: usize) {
+        let Some(script) = self.lifecycle else { return };
+        let el = crate::lifecycle::apply_epoch_ops(
+            session,
+            script,
+            epoch,
+            &mut self.lc_stats,
+            self.lc_counters.as_ref(),
+        );
+        self.out.adapt_ns += el.ns;
+        for note in &el.notes {
+            self.controller.log_note(note);
+        }
+        for oid in &el.invalidated {
+            self.controller.invalidate_object(*oid);
+        }
+        // The controller adopts the fresh object's patched functions so
+        // the budget governs them too.
+        for oid in &el.opened {
+            let adopted: Vec<_> = session
+                .runtime
+                .patched_ids()
+                .into_iter()
+                .filter(|id| id.object() == *oid)
+                .map(|id| (id, session.display_name(id)))
+                .collect();
+            self.controller.begin(adopted);
+        }
+        self.pending_races.extend(el.races);
+    }
+
+    /// Prepares an engine against the current patch state: the snapshot
+    /// and quiet-subtree analysis pick up the last delta.
+    fn bind<'s>(&mut self, session: &'s Session) -> Result<Engine<'s>, DynCapiError> {
+        let (process, runtime, model) =
+            (&session.process, &session.runtime, session.config.overhead);
+        let mut engine = if self.tolerant {
+            Engine::prepare_lenient(process, runtime, model)
+        } else {
+            Engine::prepare(process, runtime, model)
+        }
+        .map_err(DynCapiError::Exec)?
+        .with_redundancy_ppm(self.redundancy_ppm);
+        self.lc_stats.unresolved_calls = self
+            .lc_stats
+            .unresolved_calls
+            .max(engine.unresolved_calls());
+        if let Some(t) = &self.tel {
+            engine = engine.with_telemetry(t.clone());
+        }
+        Ok(engine)
+    }
+
+    /// Epoch-0 setup: seeds the controller from the startup patch state,
+    /// pins the spine, shares the call tree, and hints every sled-bearing
+    /// function's name so expansion decisions log readably. Returns the
+    /// profile to warm-start from, if one was loaded; an unavailable one
+    /// is logged as a cold start.
+    fn setup<'w>(
+        &mut self,
+        session: &Session,
+        engine: &Engine<'_>,
+        warm: Option<WarmStart<'w>>,
+    ) -> Option<&'w InstrumentationProfile> {
+        let names: Vec<_> = session
+            .runtime
+            .patched_ids()
+            .into_iter()
+            .map(|id| (id, session.display_name(id)))
+            .collect();
+        self.controller.begin(names);
+        self.controller.pin(engine.spine_sled_ids());
+        let tree = engine.call_children();
+        self.controller.hint_names(
+            tree.iter()
+                .map(|&(parent, _)| (parent, session.display_name(parent))),
+        );
+        self.children = Arc::new(
+            tree.into_iter()
+                .map(|(parent, kids)| (parent.raw(), kids.into_iter().map(|k| k.raw()).collect()))
+                .collect(),
+        );
+        match warm? {
+            WarmStart::Profile(profile) => Some(profile),
+            WarmStart::Unavailable(err) => {
+                self.controller
+                    .log_note(&format!("warm start unavailable: {err} — cold start"));
+                if let Some(t) = &self.tel {
+                    t.instant(
+                        "dyncapi.cold_start",
+                        &[
+                            ("kind", err.kind().to_string()),
+                            ("reason", err.to_string()),
+                        ],
+                    );
+                }
+                None
+            }
+        }
+    }
+
+    /// Warm start: applies the profile's converged state as one repatch
+    /// batch before the program runs its first epoch.
+    fn warm_start(
+        &mut self,
+        session: &mut Session,
+        profile: &InstrumentationProfile,
+    ) -> Result<(), DynCapiError> {
+        // The profile predicts the warm run's per-epoch event volume —
+        // the regression detector's baseline unless the caller gave one.
+        self.baseline_events = self
+            .baseline_events
+            .or_else(|| profile.baseline_epoch_events());
+        let mut planned = session.plan_warm_start(self.controller, profile, self.tel.as_ref());
+        let (delta, seed) = self.controller.seed_from_profile(profile, &planned.idmap);
+        planned.summary.seed = seed;
+        let rep = self.apply_delta(session, &delta, "warm start")?;
+        let s = &mut planned.summary;
+        s.adapt_ns = repatch_cost_ns(&session.config.init_costs, &rep);
+        self.out.adapt_ns += s.adapt_ns;
+        if let Some(t) = &self.tel {
+            t.instant(
+                "dyncapi.warm_start",
+                &[
+                    ("objects_unchanged", s.objects_unchanged.to_string()),
+                    ("objects_remapped", s.objects_remapped.to_string()),
+                    ("objects_rebuilt", s.objects_rebuilt.to_string()),
+                    ("objects_missing", s.objects_missing.to_string()),
+                    ("functions_rebound", s.functions_rebound.to_string()),
+                    ("pre_trimmed", s.seed.pre_trimmed.to_string()),
+                    ("pre_grown", s.seed.pre_grown.to_string()),
+                    ("adapt_ns", s.adapt_ns.to_string()),
+                ],
+            );
+        }
+        self.out.warm = Some(planned.summary);
+        Ok(())
+    }
+
+    /// Runs one epoch on the simulated world, chaining the rank clocks.
+    fn run_epoch(
+        &mut self,
+        engine: &Engine<'_>,
+        epoch: usize,
+    ) -> Result<EpochOutcome, DynCapiError> {
+        let spec = EpochSpec {
+            index: epoch,
+            total: self.epochs,
+        };
+        let out = engine
+            .run_epoch(&self.world, spec, &self.out.per_rank_ns)
+            .map_err(DynCapiError::Exec)?;
+        let t = &mut self.out;
+        t.per_rank_ns.clone_from(&out.per_rank_ns);
+        t.events += out.events;
+        t.nop_sleds += out.nop_sleds;
+        t.depth_cutoffs += out.depth_cutoffs;
+        t.sampled_skips += out.sampled_skips;
+        t.suppressed_events += out.suppressed_events;
+        Ok(out)
+    }
+
+    /// The controller's view of the epoch. The region samples are built
+    /// once (one name resolution per region) and the efficiency record
+    /// derives from the same samples, so the report and the policies
+    /// see identical data by construction.
+    fn observe(&mut self, session: &Session, out: EpochOutcome, epoch: usize) -> EpochView {
+        let talp: Vec<RegionSample> = out
+            .talp_samples
+            .into_iter()
+            .map(|r| RegionSample {
+                id: r.id,
+                name: session.display_name(r.id),
+                enters: r.enters,
+                elapsed_ns: r.elapsed_ns,
+                useful_per_rank: r.useful_per_rank,
+                mpi_per_rank: r.mpi_per_rank,
+            })
+            .collect();
+        for r in &talp {
+            self.out
+                .efficiency
+                .record(epoch, r.id.raw(), &r.name, r.efficiency());
+        }
+        EpochView {
+            epoch,
+            epoch_ns: out.epoch_ns,
+            busy_ns: out.busy_ns,
+            inst_ns: out.inst_ns,
+            events: out.events,
+            samples: out
+                .samples
+                .iter()
+                .map(|s| FuncSample {
+                    id: s.id,
+                    name: session.display_name(s.id),
+                    visits: s.visits,
+                    inst_ns: s.inst_ns,
+                    body_cost_ns: s.body_cost_ns,
+                    rate: s.rate,
+                })
+                .collect(),
+            talp,
+            children: self.children.clone(),
+        }
+    }
+
+    /// Armed unload races strike here: the controller's delta was
+    /// computed against an object that is about to vanish.
+    fn unload_races(&mut self, session: &mut Session, epoch: usize) {
+        for victim in std::mem::take(&mut self.pending_races) {
+            match session.unload_dso(&victim) {
+                Ok(oid) => {
+                    self.lc_stats.closed += 1;
+                    self.lc_stats.unload_races += 1;
+                    if let Some(c) = &self.lc_counters {
+                        c.record_race();
+                    }
+                    self.controller.log_note(&format!(
+                        "lifecycle: unload race closed `{victim}` before the epoch {epoch} repatch"
+                    ));
+                    if let Some(oid) = oid {
+                        self.controller.invalidate_object(oid);
+                    }
+                }
+                Err(e) => self.controller.log_note(&format!(
+                    "lifecycle: unload race on `{victim}` refused [{}]: {e}",
+                    crate::lifecycle::error_kind(&e)
+                )),
+            }
+        }
+    }
+
+    /// Applies the epoch's delta and records the epoch.
+    fn repatch(
+        &mut self,
+        session: &mut Session,
+        view: &EpochView,
+        delta: &PatchDelta,
+    ) -> Result<(), DynCapiError> {
+        let rep = self.apply_delta(session, delta, &format!("epoch {}", view.epoch))?;
+        let adapt_ns = repatch_cost_ns(&session.config.init_costs, &rep);
+        self.out.adapt_ns += adapt_ns;
+        self.out.records.push(EpochRecord {
+            epoch: view.epoch,
+            epoch_ns: view.epoch_ns,
+            events: view.events,
+            inst_ns: view.inst_ns,
+            overhead_pct: view.overhead_pct(),
+            active_after: session.runtime.patched_functions(),
+            sleds_patched: rep.sleds_patched,
+            sleds_unpatched: rep.sleds_unpatched,
+            adapt_ns,
+        });
+        Ok(())
+    }
+
+    /// Applies one repatch batch. A strict run propagates every error.
+    /// A tolerant run uses `repatch_surviving` — vanished objects are
+    /// skipped and counted — and an injected environment fault
     /// (`mprotect`) mid-batch degrades to *dropping the delta for this
     /// epoch* instead of killing the run: the dispatch table was never
     /// republished, the next epoch re-decides from live samples, and
     /// the degradation is counted and logged.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_delta_resilient(
+    fn apply_delta(
         &mut self,
-        delta: &capi_xray::PatchDelta,
-        lenient: bool,
+        session: &mut Session,
+        delta: &PatchDelta,
         label: &str,
-        controller: &mut AdaptController,
-        lc_stats: &mut LifecycleStats,
-        lc_counters: Option<&LifecycleCounters>,
-    ) -> Result<capi_xray::RepatchReport, DynCapiError> {
-        if !lenient {
-            return Ok(self.runtime.repatch(&mut self.process.memory, delta)?);
+    ) -> Result<RepatchReport, DynCapiError> {
+        let mem = &mut session.process.memory;
+        let result = if self.tolerant {
+            session.runtime.repatch_surviving(mem, delta)
+        } else {
+            session.runtime.repatch(mem, delta)
+        };
+        let (note, rep) = match result {
+            Ok(rep) if rep.skipped_objects == 0 && rep.skipped_entries == 0 => return Ok(rep),
+            Ok(rep) => (
+                format!(
+                    "lifecycle: degraded repatch at {label} — skipped {} objects, {} entries",
+                    rep.skipped_objects, rep.skipped_entries
+                ),
+                rep,
+            ),
+            Err(e) if self.tolerant => (
+                format!("lifecycle: repatch failed at {label} ({e}) — delta dropped"),
+                RepatchReport::default(),
+            ),
+            Err(e) => return Err(e.into()),
+        };
+        self.lc_stats.degraded_repatches += 1;
+        if let Some(c) = &self.lc_counters {
+            c.record_degraded(1);
         }
-        match self
-            .runtime
-            .repatch_surviving(&mut self.process.memory, delta)
-        {
-            Ok(rep) => {
-                if rep.skipped_objects > 0 || rep.skipped_entries > 0 {
-                    lc_stats.degraded_repatches += 1;
-                    if let Some(c) = lc_counters {
-                        c.record_degraded(1);
-                    }
-                    controller.log_note(&format!(
-                        "lifecycle: degraded repatch at {label} — skipped {} objects, {} entries",
-                        rep.skipped_objects, rep.skipped_entries
-                    ));
-                }
-                Ok(rep)
-            }
-            Err(e) => {
-                lc_stats.degraded_repatches += 1;
-                if let Some(c) = lc_counters {
-                    c.record_degraded(1);
-                }
-                controller.log_note(&format!(
-                    "lifecycle: repatch failed at {label} ({e}) — delta dropped"
-                ));
-                Ok(capi_xray::RepatchReport::default())
-            }
-        }
+        self.controller.log_note(&note);
+        Ok(rep)
     }
 
+    /// Per-epoch health evaluation — the detectors are pure and cheap,
+    /// so they run with or without telemetry — and the post-mortem dump
+    /// at the run's first trigger (typed degradation or detector
+    /// firing). The run continues either way.
+    fn check_health(&mut self, session: &Session, view: &EpochView, progressed: bool) {
+        let epoch = view.epoch;
+        let fired = self.monitor.observe(&EpochHealth {
+            epoch,
+            overhead_ppm: pct_to_ppm(view.overhead_pct()),
+            budget_ppm: pct_to_ppm(self.controller.budget_pct()),
+            progressed,
+            converged: self.controller.converged_at().is_some(),
+            events: view.events,
+            baseline_events: self.baseline_events,
+        });
+        for a in &fired {
+            self.controller.log_note(&format!(
+                "health: {} detector fired at epoch {}: {}",
+                a.kind.as_str(),
+                a.epoch,
+                a.detail
+            ));
+            if let Some(t) = &self.tel {
+                let c = t.counter(match a.kind {
+                    DetectorKind::Overhead => "health.overhead_firings",
+                    DetectorKind::Stall => "health.stall_firings",
+                    DetectorKind::Volume => "health.volume_firings",
+                });
+                t.add_control(c, 1);
+                t.record(
+                    CONTROL_RANK,
+                    RecordKind::Health,
+                    "health.anomaly",
+                    format!("{} {}", a.kind.as_str(), a.detail),
+                );
+            }
+        }
+        let degradations = self.lc_stats.degradations();
+        let new = degradations - self.degradations_seen;
+        self.degradations_seen = degradations;
+        if self.out.post_mortem.is_some() {
+            return;
+        }
+        let trigger = if new > 0 {
+            Some(DumpTrigger::Degradation {
+                detail: format!("{degradations} typed degradations by epoch {epoch} ({new} new)"),
+            })
+        } else {
+            fired.first().map(|a| match a.kind {
+                DetectorKind::Overhead => DumpTrigger::BudgetOverrun { epoch },
+                DetectorKind::Stall => DumpTrigger::ConvergenceStall { epoch },
+                DetectorKind::Volume => DumpTrigger::VolumeRegression { epoch },
+            })
+        };
+        let Some(trigger) = trigger else { return };
+        self.controller.log_note(&format!(
+            "health: post-mortem dump ({}) at epoch {epoch}",
+            trigger.label()
+        ));
+        let (generation, dispatch) = session.runtime.dispatch_summary();
+        let dump = PostMortem::build(
+            trigger,
+            epoch,
+            self.tel.as_ref(),
+            generation,
+            &dispatch,
+            self.controller.log_lines(),
+            self.monitor.report(),
+        );
+        if let Some(path) = capi_obs::dump_out_from_env() {
+            if let Err(e) = dump.write_json(&path) {
+                self.controller
+                    .log_note(&format!("dump write failed ({path}): {e}"));
+            }
+        }
+        self.dumps_written += 1;
+        self.out.post_mortem = Some(dump);
+    }
+
+    /// Folds the run's event-volume reductions and health tail into the
+    /// adaptation log, syncs the dispatch counters into the registry one
+    /// final time (they were last synced at the final publish), and
+    /// closes the run span.
+    fn finish(
+        mut self,
+        session: &Session,
+        run_span: Option<SpanGuard>,
+        run_wall: Instant,
+    ) -> AdaptiveRun {
+        let out = &mut self.out;
+        out.run_ns = out.per_rank_ns.iter().copied().max().unwrap_or(0);
+        self.controller
+            .record_event_volume(out.sampled_skips, out.suppressed_events);
+        out.health = self.monitor.into_report();
+        self.controller.record_health(
+            self.dumps_written,
+            [
+                out.health.overhead_firings,
+                out.health.stall_firings,
+                out.health.volume_firings,
+            ],
+        );
+        session.runtime.sync_telemetry();
+        out.init_ns = session.report.init_ns;
+        out.total_ns = out.init_ns + out.adapt_ns + out.run_ns;
+        out.lifecycle = self.lifecycle.map(|_| self.lc_stats);
+        if let Some(span) = &run_span {
+            span.arg("epochs", out.records.len());
+            span.arg("events", out.events);
+            span.arg("run_ns", out.run_ns);
+            span.arg("t_init_ns", out.init_ns);
+            span.arg("t_adapt_ns", out.adapt_ns);
+            span.wall_ns(run_wall.elapsed().as_nanos() as u64);
+        }
+        self.out
+    }
+}
+
+impl Session {
     /// Identity records of every registered XRay object: name plus a
     /// content fingerprint over the full symbol table (hidden symbols
     /// included — they change on rebuilds too). Load addresses do not
@@ -819,7 +822,7 @@ impl Session {
 
     /// Display name for a packed ID: the resolved symbol, or a stable
     /// placeholder for hidden functions.
-    fn display_name(&self, id: capi_xray::PackedId) -> String {
+    fn display_name(&self, id: PackedId) -> String {
         self.symbols
             .name_of(id)
             .map(str::to_string)
@@ -837,7 +840,7 @@ struct PlannedWarmStart {
 /// warm-start batch and every per-epoch delta are accounted with, so
 /// `T_adapt` stays comparable between cold and warm runs by
 /// construction.
-fn repatch_cost_ns(costs: &crate::startup::InitCostModel, rep: &capi_xray::RepatchReport) -> u64 {
+fn repatch_cost_ns(costs: &crate::startup::InitCostModel, rep: &RepatchReport) -> u64 {
     (rep.sleds_patched + rep.sleds_unpatched) * costs.per_sled_patch_ns
         + rep.mprotect_pairs * costs.per_mprotect_ns
 }

@@ -1,12 +1,12 @@
-//! The unified adaptive-run API.
+//! The adaptive-run API.
 //!
-//! [`AdaptiveRunBuilder`] collapses the former four-way entry-point
-//! split (`Session::run_adaptive`, `Session::run_adaptive_warm`,
-//! `Workflow::measure_in_flight`, `Workflow::measure_in_flight_with_profile`)
-//! into one builder: budget, epochs, expansion, profile source, and the
-//! sampling knobs (max demotion rate, redundancy-suppression band) all
-//! live in one place, and every legacy entry point is a thin deprecated
-//! wrapper over it.
+//! [`AdaptiveRunBuilder`] is the one entry point of an adaptive run:
+//! budget, epochs, expansion, profile source, and the sampling knobs
+//! (max demotion rate, redundancy-suppression band) all live in one
+//! place. [`AdaptiveRunBuilder::run`] and
+//! [`AdaptiveRunBuilder::run_with_controller`] share one epoch loop and
+//! one artifact tail (telemetry resolution, Chrome trace, OpenMetrics,
+//! run-error post-mortem).
 //!
 //! ```
 //! use capi_dyncapi::{AdaptiveRunBuilder, ProfileSource};
@@ -22,7 +22,7 @@
 //! // runner.run(&mut session)?;
 //! ```
 
-use crate::adaptive::{efficiency_summary, AdaptiveRun, WarmStart};
+use crate::adaptive::{efficiency_summary, run_epochs, AdaptiveRun, WarmStart};
 use crate::lifecycle::LifecycleScript;
 use crate::startup::{DynCapiError, Session};
 use capi_adapt::{AdaptConfig, AdaptController, ExpansionOptions};
@@ -86,22 +86,22 @@ pub struct AdaptiveOutcome {
 
 /// Builder-style configuration of one adaptive (zero-restart) run.
 ///
-/// Defaults match the former `InFlightOptions`: 8 epochs, a 5% overhead
-/// budget, seed `0x5EED`, no expansion, no demotion-to-sampled
-/// (`max_sample_rate` 0), and the session's own redundancy band.
+/// Defaults: 8 epochs, a 5% overhead budget, seed `0x5EED`, no
+/// expansion, no demotion-to-sampled (`max_sample_rate` 0), and the
+/// session's own redundancy band.
 #[derive(Clone, Debug)]
 pub struct AdaptiveRunBuilder {
-    epochs: usize,
+    pub(crate) epochs: usize,
     budget_pct: f64,
     seed: u64,
     expansion: Option<ExpansionOptions>,
     max_sample_rate: u32,
-    redundancy_ppm: Option<u32>,
+    pub(crate) redundancy_ppm: Option<u32>,
     profile: ProfileSource,
     telemetry: Option<Telemetry>,
-    lifecycle: Option<LifecycleScript>,
-    health: Option<HealthConfig>,
-    baseline_events: Option<u64>,
+    pub(crate) lifecycle: Option<LifecycleScript>,
+    pub(crate) health: Option<HealthConfig>,
+    pub(crate) baseline_events: Option<u64>,
 }
 
 impl Default for AdaptiveRunBuilder {
@@ -182,8 +182,10 @@ impl AdaptiveRunBuilder {
     /// (run → epoch → policy evaluation → repatch/publish → profile
     /// IO), dispatch counters folded into the registry, and — when
     /// `CAPI_TRACE_OUT` is set — a Chrome trace written at run end.
-    /// Without an explicit instance, [`Self::run`] falls back to
-    /// [`Telemetry::from_env`] (`CAPI_TELEMETRY` / `CAPI_TRACE_OUT`).
+    /// Without an explicit instance, both [`Self::run`] and
+    /// [`Self::run_with_controller`] fall back to [`Telemetry::from_env`]
+    /// (`CAPI_TELEMETRY` / `CAPI_TRACE_OUT` / `CAPI_METRICS_OUT` /
+    /// `CAPI_DUMP_OUT`).
     pub fn telemetry(mut self, tel: Telemetry) -> Self {
         self.telemetry = Some(tel);
         self
@@ -232,37 +234,20 @@ impl AdaptiveRunBuilder {
     }
 
     /// Runs the configured adaptation on `session` with a
-    /// caller-provided controller and an explicit warm start — the
-    /// primitive the deprecated `Session::run_adaptive{,_warm}` wrappers
-    /// delegate to. The builder's profile source is **ignored** on this
-    /// path; only epochs and the redundancy band apply.
+    /// caller-provided controller and an explicit warm start. The
+    /// caller owns the controller and persistence, so the controller
+    /// knobs (budget, seed, expansion, max sample rate) and the profile
+    /// source are **ignored** on this path; the rest apply, and the run
+    /// leaves the same artifacts as [`Self::run`].
     pub fn run_with_controller(
         &self,
         session: &mut Session,
         controller: &mut AdaptController,
         warm: Option<WarmStart<'_>>,
     ) -> Result<AdaptiveRun, DynCapiError> {
-        if let Some(t) = &self.telemetry {
-            session.runtime.set_telemetry(t.clone());
-            controller.set_telemetry(t.clone());
-        }
-        let ppm = self.redundancy_ppm.unwrap_or(session.config.redundancy_ppm);
-        let health_cfg = self.health.unwrap_or_else(HealthConfig::from_env);
-        let result = session.run_adaptive_inner(
-            controller,
-            self.epochs,
-            warm,
-            ppm,
-            self.lifecycle.as_ref(),
-            health_cfg,
-            self.baseline_events,
-        );
-        // A failed run still leaves its artifacts: flush the Chrome
-        // trace, the OpenMetrics exposition, and a run-error post-mortem
-        // from the degraded exit path instead of dropping them.
-        if let Err(err) = &result {
-            let _ = crate::postmortem::flush_degraded_artifacts(session, controller, err);
-        }
+        let tel = self.install_telemetry(session, controller);
+        let result = run_epochs(self, session, controller, warm);
+        flush_artifacts(tel.as_ref(), session, controller, result.as_ref().err());
         result
     }
 
@@ -273,18 +258,9 @@ impl AdaptiveRunBuilder {
     /// the converged functions with their sampling rates.
     pub fn run(&self, session: &mut Session) -> Result<AdaptiveOutcome, DynCapiError> {
         let mut controller = self.build_controller();
-        // Resolve telemetry once: the explicit instance wins, else the
-        // environment knobs; install it before any profile IO so the
-        // load span lands inside the same registry as the run.
-        let tel = self.telemetry.clone().or_else(Telemetry::from_env);
-        if let Some(t) = &tel {
-            session.runtime.set_telemetry(t.clone());
-            controller.set_telemetry(t.clone());
-        }
-        // The runtime's instance is authoritative on reused runtimes
-        // (set-once); report profile IO into the same registry the run
-        // spans land in.
-        let tel = session.runtime.telemetry().cloned().or(tel);
+        // Install telemetry before any profile IO so the load span lands
+        // inside the same registry as the run.
+        let tel = self.install_telemetry(session, &mut controller);
         // Only the Path source needs an owned load; Inline is borrowed
         // directly from the builder.
         let loaded = match &self.profile {
@@ -300,7 +276,13 @@ impl AdaptiveRunBuilder {
             _ => None,
         };
         let warm_started = matches!(warm, Some(WarmStart::Profile(_)));
-        let adaptive = self.run_with_controller(session, &mut controller, warm)?;
+        let adaptive = match run_epochs(self, session, &mut controller, warm) {
+            Ok(adaptive) => adaptive,
+            Err(e) => {
+                flush_artifacts(tel.as_ref(), session, &mut controller, Some(&e));
+                return Err(e);
+            }
+        };
         let mut profile = controller.export_profile(session.object_records());
         profile.efficiency = efficiency_summary(&adaptive.efficiency);
         if let ProfileSource::Path(path) = &self.profile {
@@ -308,16 +290,8 @@ impl AdaptiveRunBuilder {
                 controller.log_note(&format!("profile save failed: {e}"));
             }
         }
-        if let (Some(t), Some(trace_path)) = (&tel, capi_obs::trace_out_from_env()) {
-            if let Err(e) = t.write_chrome_trace(&trace_path) {
-                controller.log_note(&format!("trace write failed ({trace_path}): {e}"));
-            }
-        }
-        if let (Some(t), Some(metrics_path)) = (&tel, capi_obs::metrics_out_from_env()) {
-            if let Err(e) = t.write_openmetrics(&metrics_path) {
-                controller.log_note(&format!("metrics write failed ({metrics_path}): {e}"));
-            }
-        }
+        // After the save, so the trace holds its `persist.save` span.
+        flush_artifacts(tel.as_ref(), session, &mut controller, None);
         let final_functions = controller
             .active_ids()
             .into_iter()
@@ -337,5 +311,47 @@ impl AdaptiveRunBuilder {
             final_functions,
             adaptive,
         })
+    }
+
+    /// Resolves the run's telemetry — the explicit instance, else
+    /// [`Telemetry::from_env`] — and installs it on the runtime and the
+    /// controller. Returns the runtime's instance, which stays
+    /// authoritative on a reused runtime (set-once).
+    fn install_telemetry(
+        &self,
+        session: &mut Session,
+        controller: &mut AdaptController,
+    ) -> Option<Telemetry> {
+        let tel = self.telemetry.clone().or_else(Telemetry::from_env);
+        if let Some(t) = &tel {
+            session.runtime.set_telemetry(t.clone());
+            controller.set_telemetry(t.clone());
+        }
+        session.runtime.telemetry().cloned()
+    }
+}
+
+/// Flushes a run's artifacts: the Chrome trace (`CAPI_TRACE_OUT`), the
+/// OpenMetrics exposition (`CAPI_METRICS_OUT`) and, for a failed run, a
+/// run-error post-mortem (`CAPI_DUMP_OUT`) — so a faulted run leaves the
+/// same evidence a clean one does.
+fn flush_artifacts(
+    tel: Option<&Telemetry>,
+    session: &Session,
+    controller: &mut AdaptController,
+    error: Option<&DynCapiError>,
+) {
+    if let (Some(t), Some(path)) = (tel, capi_obs::trace_out_from_env()) {
+        if let Err(e) = t.write_chrome_trace(&path) {
+            controller.log_note(&format!("trace write failed ({path}): {e}"));
+        }
+    }
+    if let (Some(t), Some(path)) = (tel, capi_obs::metrics_out_from_env()) {
+        if let Err(e) = t.write_openmetrics(&path) {
+            controller.log_note(&format!("metrics write failed ({path}): {e}"));
+        }
+    }
+    if let Some(err) = error {
+        crate::postmortem::run_error_dump(session, controller, tel, err);
     }
 }

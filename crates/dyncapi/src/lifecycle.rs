@@ -161,6 +161,16 @@ pub struct LifecycleStats {
     pub lifecycle_ns: u64,
 }
 
+impl LifecycleStats {
+    /// Typed degradations so far: failed `dlopen`s, abandoned opens,
+    /// degraded repatches and unload races. Fired faults always surface
+    /// as one of these; an increase across an epoch boundary triggers a
+    /// post-mortem dump.
+    pub fn degradations(&self) -> u64 {
+        self.dlopen_failed + self.opens_abandoned + self.degraded_repatches + self.unload_races
+    }
+}
+
 /// The `lifecycle.*` counters, registered once per run.
 pub(crate) struct LifecycleCounters {
     tel: Telemetry,

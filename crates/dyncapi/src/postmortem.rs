@@ -250,33 +250,21 @@ fn metrics_json(snap: &MetricsSnapshot) -> Value {
     })
 }
 
-/// Flushes run artifacts from a *failed* adaptive run: the Chrome
-/// trace (`CAPI_TRACE_OUT`), the OpenMetrics exposition
-/// (`CAPI_METRICS_OUT`), and a [`DumpTrigger::RunError`] post-mortem
-/// (`CAPI_DUMP_OUT`) — so a faulted run leaves the same evidence a
-/// clean one does. Returns the dump it built (whether or not any env
-/// knob asked for a file).
-pub(crate) fn flush_degraded_artifacts(
+/// Builds the [`DumpTrigger::RunError`] post-mortem of a *failed*
+/// adaptive run and writes it to `CAPI_DUMP_OUT` when that knob is set.
+pub(crate) fn run_error_dump(
     session: &crate::startup::Session,
     controller: &AdaptController,
+    tel: Option<&Telemetry>,
     error: &crate::startup::DynCapiError,
-) -> PostMortem {
-    let tel = session.runtime.telemetry().cloned();
-    if let Some(t) = &tel {
-        if let Some(path) = capi_obs::trace_out_from_env() {
-            let _ = t.write_chrome_trace(&path);
-        }
-        if let Some(path) = capi_obs::metrics_out_from_env() {
-            let _ = t.write_openmetrics(&path);
-        }
-    }
+) {
     let (generation, dispatch) = session.runtime.dispatch_summary();
     let dump = PostMortem::build(
         DumpTrigger::RunError {
             detail: error.to_string(),
         },
         controller.stats().epochs,
-        tel.as_ref(),
+        tel,
         generation,
         &dispatch,
         controller.log_lines(),
@@ -285,7 +273,6 @@ pub(crate) fn flush_degraded_artifacts(
     if let Some(path) = capi_obs::dump_out_from_env() {
         let _ = dump.write_json(&path);
     }
-    dump
 }
 
 #[cfg(test)]

@@ -310,26 +310,15 @@ impl XRayRuntime {
     /// stripe sums rather than last-writer-wins.
     pub fn sync_telemetry(&self) {
         let Some(h) = self.obs.get() else { return };
-        let mut totals: std::collections::BTreeMap<u32, [u64; 3]> =
-            std::collections::BTreeMap::new();
-        for slot in self.slots.counter_slots() {
-            let t = totals.entry(slot.rank.load(Ordering::Relaxed)).or_default();
-            t[0] += slot.dispatches.load(Ordering::Relaxed);
-            t[1] += slot.stale_dispatches.load(Ordering::Relaxed);
-            t[2] += slot.sampled_skips.load(Ordering::Relaxed);
-        }
-        for (rank, retired) in self.slots.retired_totals() {
-            let t = totals.entry(rank).or_default();
-            t[0] += retired.dispatches;
-            t[1] += retired.stale_dispatches;
-            t[2] += retired.sampled_skips;
-        }
+        let totals = self.slots.totals();
         h.tel
-            .store_folded(h.dispatches, totals.iter().map(|(&r, t)| (r, t[0])));
+            .store_folded(h.dispatches, totals.iter().map(|(&r, t)| (r, t.dispatches)));
+        h.tel.store_folded(
+            h.stale,
+            totals.iter().map(|(&r, t)| (r, t.stale_dispatches)),
+        );
         h.tel
-            .store_folded(h.stale, totals.iter().map(|(&r, t)| (r, t[1])));
-        h.tel
-            .store_folded(h.skips, totals.iter().map(|(&r, t)| (r, t[2])));
+            .store_folded(h.skips, totals.iter().map(|(&r, t)| (r, t.sampled_skips)));
     }
 
     /// Pre-claims the calling thread's reader slot for `rank`, so the
@@ -762,11 +751,13 @@ impl XRayRuntime {
         self.repatch_inner(mem, delta, true)
     }
 
+    /// The one repatch path: [`Self::repatch`] is [`Self::repatch_surviving`]
+    /// with zero tolerated skips.
     fn repatch_inner(
         &self,
         mem: &mut AddressSpace,
         delta: &PatchDelta,
-        lenient: bool,
+        tolerant: bool,
     ) -> Result<RepatchReport, XRayError> {
         if delta.is_empty() {
             return Ok(RepatchReport {
@@ -804,75 +795,22 @@ impl XRayRuntime {
                 .or_default()
                 .insert(id.function(), rate.max(1));
         }
-        let mut skipped_objects: std::collections::BTreeSet<u8> = std::collections::BTreeSet::new();
-        let mut skipped_entries = 0u64;
-        if lenient {
-            // Drop entries that no longer resolve — the object was
-            // deregistered, or its (rebuilt) image lost the function.
-            fn drop_unknown<V>(
-                map: &mut std::collections::BTreeMap<u8, std::collections::BTreeMap<u32, V>>,
-                skipped_objects: &mut std::collections::BTreeSet<u8>,
-                skipped_entries: &mut u64,
-                inner: &Inner,
-            ) {
-                map.retain(|&oid, changes| {
-                    match inner.objects.get(oid as usize).and_then(Option::as_ref) {
-                        None => {
-                            skipped_objects.insert(oid);
-                            *skipped_entries += changes.len() as u64;
-                            false
-                        }
-                        Some(reg) => {
-                            changes.retain(|&fid, _| {
-                                let known = reg.inst.sleds.by_fid(fid).is_some();
-                                if !known {
-                                    *skipped_entries += 1;
-                                }
-                                known
-                            });
-                            !changes.is_empty()
-                        }
-                    }
-                });
-            }
-            drop_unknown(
-                &mut by_obj,
-                &mut skipped_objects,
-                &mut skipped_entries,
-                &inner,
-            );
-            drop_unknown(
-                &mut rates_by_obj,
-                &mut skipped_objects,
-                &mut skipped_entries,
-                &inner,
-            );
-        } else {
-            // Validate every ID before mutating anything.
-            let patch_keys = by_obj
-                .iter()
-                .flat_map(|(&o, c)| c.keys().map(move |&f| (o, f)));
-            let rate_keys = rates_by_obj
-                .iter()
-                .flat_map(|(&o, c)| c.keys().map(move |&f| (o, f)));
-            for (oid, fid) in patch_keys.chain(rate_keys) {
-                let reg = inner
-                    .objects
-                    .get(oid as usize)
-                    .and_then(Option::as_ref)
-                    .ok_or(XRayError::UnknownObject(oid))?;
-                reg.inst.sleds.by_fid(fid).ok_or_else(|| {
-                    XRayError::UnknownFunction(
-                        PackedId::pack(oid, fid).unwrap_or(PackedId::from_raw(0)),
-                    )
-                })?;
-            }
+        // One validation pass: entries that no longer resolve (the object
+        // was deregistered, or its rebuilt image lost the function) are
+        // dropped and counted. The tolerant path applies the rest; the
+        // strict path tolerates zero skips and fails on the first
+        // unknown entry, before anything is mutated.
+        let mut skipped = Skipped::default();
+        skipped.drop_unknown(&mut by_obj, &inner);
+        skipped.drop_unknown(&mut rates_by_obj, &inner);
+        if let (false, Some(err)) = (tolerant, skipped.first) {
+            return Err(err);
         }
         let new_gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         let mut report = RepatchReport {
             generation: new_gen,
-            skipped_objects: skipped_objects.len() as u64,
-            skipped_entries,
+            skipped_objects: skipped.objects.len() as u64,
+            skipped_entries: skipped.entries,
             ..Default::default()
         };
         // Memory errors mid-batch can leave earlier objects applied;
@@ -950,7 +888,7 @@ impl XRayRuntime {
             span.arg("sleds_unpatched", report.sleds_unpatched);
             span.arg("mprotect_pairs", report.mprotect_pairs);
             span.arg("rates_set", report.rates_set);
-            if lenient {
+            if tolerant {
                 span.arg("skipped_objects", report.skipped_objects);
                 span.arg("skipped_entries", report.skipped_entries);
             }
@@ -1172,15 +1110,10 @@ impl XRayRuntime {
     /// — exact across thread exits and slot reuse.
     pub fn stats(&self) -> RuntimeStats {
         let mut s = self.read_inner("stats").stats;
-        for slot in self.slots.counter_slots() {
-            s.dispatches += slot.dispatches.load(Ordering::Relaxed);
-            s.stale_dispatches += slot.stale_dispatches.load(Ordering::Relaxed);
-            s.sampled_skips += slot.sampled_skips.load(Ordering::Relaxed);
-        }
-        for retired in self.slots.retired_totals().values() {
-            s.dispatches += retired.dispatches;
-            s.stale_dispatches += retired.stale_dispatches;
-            s.sampled_skips += retired.sampled_skips;
+        for t in self.slots.totals().values() {
+            s.dispatches += t.dispatches;
+            s.stale_dispatches += t.stale_dispatches;
+            s.sampled_skips += t.sampled_skips;
         }
         s
     }
@@ -1321,6 +1254,50 @@ impl XRayRuntime {
             generation: self.generation(),
             by_process_index,
         }
+    }
+}
+
+/// Delta entries a repatch found unresolvable.
+#[derive(Default)]
+struct Skipped {
+    /// Objects no longer registered.
+    objects: std::collections::BTreeSet<u8>,
+    /// Entries dropped: every entry of a vanished object, plus entries
+    /// naming a function the object has no sled for.
+    entries: u64,
+    /// The first unknown entry, in (object, function) order, as the
+    /// error the strict path reports.
+    first: Option<XRayError>,
+}
+
+impl Skipped {
+    /// Drops `map`'s unresolvable entries, counting them.
+    fn drop_unknown<V>(
+        &mut self,
+        map: &mut std::collections::BTreeMap<u8, std::collections::BTreeMap<u32, V>>,
+        inner: &Inner,
+    ) {
+        map.retain(|&oid, changes| {
+            let Some(reg) = inner.objects.get(oid as usize).and_then(Option::as_ref) else {
+                self.first.get_or_insert(XRayError::UnknownObject(oid));
+                self.objects.insert(oid);
+                self.entries += changes.len() as u64;
+                return false;
+            };
+            changes.retain(|&fid, _| {
+                let known = reg.inst.sleds.by_fid(fid).is_some();
+                if !known {
+                    self.first.get_or_insert_with(|| {
+                        XRayError::UnknownFunction(
+                            PackedId::pack(oid, fid).unwrap_or(PackedId::from_raw(0)),
+                        )
+                    });
+                    self.entries += 1;
+                }
+                known
+            });
+            !changes.is_empty()
+        });
     }
 }
 
@@ -2009,5 +1986,53 @@ mod tests {
         assert_eq!(s.objects_registered, 2);
         assert!(s.sled_writes >= 2);
         assert_eq!(s.dispatches, 1);
+    }
+
+    /// A thread-exit slot release racing [`XRayRuntime::stats`] is
+    /// counted once. The fold's test hook sits between its live-slot read
+    /// and its retired-totals read; whenever the slot-list lock would
+    /// admit a release there, the hook lets the worker exit and joins it,
+    /// so its release lands exactly in that window. Deterministic: no
+    /// sleeps, no retries.
+    #[test]
+    fn stats_count_a_release_racing_the_fold_once() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        use std::sync::mpsc::channel;
+        let rt = Arc::new(XRayRuntime::new());
+        let (counted_tx, counted_rx) = channel::<()>();
+        let (exit_tx, exit_rx) = channel::<()>();
+        let worker = {
+            let rt = Arc::clone(&rt);
+            std::thread::spawn(move || {
+                rt.slots
+                    .slot_for(3)
+                    .dispatches
+                    .fetch_add(100, Ordering::Relaxed);
+                counted_tx.send(()).unwrap();
+                exit_rx.recv().unwrap();
+            })
+        };
+        counted_rx.recv().unwrap();
+        // Exiting the worker runs its claim cache's destructor, which
+        // releases the slot; joining waits for that destructor.
+        type Finish = Box<dyn FnOnce()>;
+        let finish: Rc<RefCell<Option<Finish>>> =
+            Rc::new(RefCell::new(Some(Box::new(move || {
+                exit_tx.send(()).unwrap();
+                worker.join().unwrap();
+            }))));
+        let in_window = Rc::clone(&finish);
+        crate::slots::between_reads::arm(move |release_can_run| {
+            if release_can_run {
+                in_window.borrow_mut().take().unwrap()();
+            }
+        });
+        assert_eq!(rt.stats().dispatches, 100, "release counted twice");
+        if let Some(finish) = finish.borrow_mut().take() {
+            finish();
+        }
+        assert_eq!(rt.stats().dispatches, 100);
+        assert_eq!(rt.slots.retired_totals()[&3].dispatches, 100);
     }
 }

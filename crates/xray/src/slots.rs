@@ -65,15 +65,25 @@ pub(crate) struct ReaderSlot {
     pub rank: AtomicU32,
 }
 
-/// Counter totals folded out of recycled slots, keyed by rank.
+/// Event-counter totals of one rank: folded out of recycled slots (the
+/// retired accumulator), or live plus retired (see
+/// [`SlotRegistry::totals`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RetiredTotals {
-    /// Events dispatched to the handler by departed claimants.
+pub(crate) struct CounterTotals {
+    /// Events dispatched to the handler.
     pub dispatches: u64,
-    /// Stale-tolerated dispatches by departed claimants.
+    /// Stale-tolerated dispatches.
     pub stale_dispatches: u64,
-    /// Sampled-mode skips by departed claimants.
+    /// Sampled-mode skips.
     pub sampled_skips: u64,
+}
+
+impl CounterTotals {
+    fn add(&mut self, other: CounterTotals) {
+        self.dispatches += other.dispatches;
+        self.stale_dispatches += other.stale_dispatches;
+        self.sampled_skips += other.sampled_skips;
+    }
 }
 
 struct SlotList {
@@ -97,7 +107,7 @@ pub(crate) struct RegistryInner {
     control: Arc<ReaderSlot>,
     /// Fold-on-release accumulator: counters of departed claimants,
     /// keyed by the rank they were attributed to.
-    retired: Mutex<BTreeMap<u32, RetiredTotals>>,
+    retired: Mutex<BTreeMap<u32, CounterTotals>>,
 }
 
 impl RegistryInner {
@@ -141,17 +151,12 @@ impl RegistryInner {
         let mut list = self.list.lock();
         let slot = Arc::clone(&list.slots[index]);
         let rank = slot.rank.load(Ordering::Relaxed);
-        let folded = RetiredTotals {
+        let folded = CounterTotals {
             dispatches: slot.dispatches.swap(0, Ordering::Relaxed),
             stale_dispatches: slot.stale_dispatches.swap(0, Ordering::Relaxed),
             sampled_skips: slot.sampled_skips.swap(0, Ordering::Relaxed),
         };
-        let mut retired = self.retired.lock();
-        let entry = retired.entry(rank).or_default();
-        entry.dispatches += folded.dispatches;
-        entry.stale_dispatches += folded.stale_dispatches;
-        entry.sampled_skips += folded.sampled_skips;
-        drop(retired);
+        self.retired.lock().entry(rank).or_default().add(folded);
         list.free.push(index);
     }
 }
@@ -243,15 +248,39 @@ impl SlotRegistry {
         slots
     }
 
-    /// All allocated rank slots (control excluded): the counter-carrying
-    /// set for stats folding and telemetry export. Free-listed slots are
-    /// included but zeroed, so folding them is exact.
-    pub(crate) fn counter_slots(&self) -> Vec<Arc<ReaderSlot>> {
-        self.inner.list.lock().slots.clone()
+    /// Per-rank event-counter totals: every allocated rank slot (control
+    /// excluded; free-listed slots are zeroed, so folding them is exact)
+    /// plus the retired totals of departed claimants.
+    ///
+    /// Both halves are read under the `list` lock that
+    /// [`RegistryInner::release`] holds while it moves a slot's counters
+    /// into the retired totals, so a release can land wholly before or
+    /// wholly after this fold — never between its two reads, where it
+    /// would be counted twice.
+    pub(crate) fn totals(&self) -> BTreeMap<u32, CounterTotals> {
+        let list = self.inner.list.lock();
+        let mut totals: BTreeMap<u32, CounterTotals> = BTreeMap::new();
+        for slot in &list.slots {
+            totals
+                .entry(slot.rank.load(Ordering::Relaxed))
+                .or_default()
+                .add(CounterTotals {
+                    dispatches: slot.dispatches.load(Ordering::Relaxed),
+                    stale_dispatches: slot.stale_dispatches.load(Ordering::Relaxed),
+                    sampled_skips: slot.sampled_skips.load(Ordering::Relaxed),
+                });
+        }
+        #[cfg(test)]
+        between_reads::run(&self.inner.list);
+        for (&rank, &retired) in self.inner.retired.lock().iter() {
+            totals.entry(rank).or_default().add(retired);
+        }
+        totals
     }
 
     /// Per-rank counter totals folded out of recycled slots.
-    pub(crate) fn retired_totals(&self) -> BTreeMap<u32, RetiredTotals> {
+    #[cfg(test)]
+    pub(crate) fn retired_totals(&self) -> BTreeMap<u32, CounterTotals> {
         self.inner.retired.lock().clone()
     }
 
@@ -300,6 +329,38 @@ thread_local! {
     /// The calling thread's claim cache; its `Drop` at thread exit is
     /// what recycles slots.
     static CLAIMS: RefCell<ThreadClaims> = RefCell::new(ThreadClaims::default());
+}
+
+/// Test hook run by [`SlotRegistry::totals`] between its live-slot read
+/// and its retired-totals read — the window a concurrent release must
+/// never land in.
+#[cfg(test)]
+pub(crate) mod between_reads {
+    use super::SlotList;
+    use parking_lot::Mutex;
+    use std::cell::RefCell;
+
+    type Hook = Box<dyn FnOnce(bool)>;
+
+    thread_local! {
+        static HOOK: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// Arms `hook` for the calling thread's next fold. It is told
+    /// whether a slot release could run at that point, i.e. whether the
+    /// slot-list lock that `release` takes is free.
+    pub(crate) fn arm(hook: impl FnOnce(bool) + 'static) {
+        HOOK.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
+    }
+
+    pub(super) fn run(list: &Mutex<SlotList>) {
+        if let Some(hook) = HOOK.with(|h| h.borrow_mut().take()) {
+            // Probe and release the lock before the hook runs: a guard
+            // held across the call would block the release it admits.
+            let release_can_run = list.try_lock().is_some();
+            hook(release_can_run);
+        }
+    }
 }
 
 #[cfg(test)]
