@@ -12,8 +12,6 @@
 //!   threads dispatching concurrently — the sweep that used to
 //!   flat-line on the runtime's global `RwLock` and the single log
 //!   mutex.
-//! * `snapshot-512-funcs`: cost of deriving a `PatchSnapshot` from the
-//!   published table (the executor pays this once per `prepare`).
 
 use capi_bench::{dispatch_fixture, dispatch_round_robin};
 use capi_xray::ShardedLog;
@@ -67,15 +65,6 @@ fn bench_dispatch(c: &mut Criterion) {
                     handles.into_iter().map(|h| h.join().unwrap()).sum::<u64>()
                 })
             })
-        });
-    }
-
-    // Snapshot derivation from the published table.
-    {
-        let mut fixture = dispatch_fixture(512);
-        let _ = fixture.patch_fraction(0.5);
-        group.bench_function("snapshot-512-funcs", |b| {
-            b.iter(|| fixture.runtime.snapshot().by_process_index.len())
         });
     }
 

@@ -7,10 +7,10 @@
 //! [`capi_adapt::AdaptController`], the resulting delta is applied
 //! through `XRayRuntime::repatch` (one `mprotect` pair per touched
 //! object, one atomically published dispatch table for the whole
-//! batch), and the engine re-snapshots for the next epoch — the
-//! snapshot now derives from the published table, lock-free — while
-//! the simulated MPI world stays up. Repatch costs are accounted separately
-//! as `T_adapt`, alongside `T_init`. The whole loop is tool-agnostic:
+//! batch), and the engine binds the once-resolved program to the newly
+//! published table for the next epoch, while the simulated MPI world
+//! stays up. Repatch costs are accounted separately as `T_adapt`,
+//! alongside `T_init`. The whole loop is tool-agnostic:
 //! whatever [`crate::ToolChoice`] the session was started with keeps
 //! receiving events across IC reloads.
 
@@ -21,7 +21,7 @@ use crate::startup::{DynCapiError, Session};
 use capi_adapt::{
     AdaptController, CallChildren, EpochView, FuncSample, RegionSample, WarmStartStats,
 };
-use capi_exec::{Engine, EpochOutcome, EpochSpec};
+use capi_exec::{Engine, EpochOutcome, EpochSpec, ResolvedProgram};
 use capi_mpisim::World;
 use capi_obs::{
     pct_to_ppm, DetectorKind, EpochHealth, HealthConfig, HealthMonitor, HealthReport, RecordKind,
@@ -161,13 +161,15 @@ struct RunState<'a> {
     tel: Option<Telemetry>,
     lifecycle: Option<&'a LifecycleScript>,
     /// Set once per run: a lifecycle script makes every stage tolerate
-    /// DSO churn — `Engine::prepare_lenient` drops unresolved call
-    /// targets, `repatch_surviving` skips vanished objects, and a
-    /// faulted repatch drops its delta. Without a script, any of these
-    /// is an error.
+    /// DSO churn — lenient resolution drops unresolved call targets,
+    /// `repatch_surviving` skips vanished objects, and a faulted repatch
+    /// drops its delta. Without a script, any of these is an error.
     tolerant: bool,
     epochs: usize,
     redundancy_ppm: u32,
+    /// The program as last resolved; kept across epochs while
+    /// [`ResolvedProgram::is_current`] holds.
+    program: Option<Arc<ResolvedProgram>>,
     world: Arc<World>,
     /// The outcome, accumulated epoch by epoch: records, rank clocks
     /// (`per_rank_ns`), event and `T_adapt` totals, efficiency, warm
@@ -210,8 +212,8 @@ pub(crate) fn run_epochs(
         let mut engine = run.bind(session)?;
         if epoch == 0 {
             if let Some(profile) = run.setup(session, &engine, warm.take()) {
-                // Only a warm start pays a second prepare: its batch
-                // invalidates the snapshot just taken.
+                // Only a warm start pays a second bind: its batch
+                // republishes the table the first one pinned.
                 drop(engine);
                 run.warm_start(session, profile)?;
                 engine = run.bind(session)?;
@@ -254,6 +256,7 @@ impl<'a> RunState<'a> {
             tolerant: lifecycle.is_some(),
             epochs,
             redundancy_ppm: cfg.redundancy_ppm.unwrap_or(session.config.redundancy_ppm),
+            program: None,
             world,
             out: AdaptiveRun {
                 per_rank_ns: vec![0; session.config.ranks as usize],
@@ -304,22 +307,24 @@ impl<'a> RunState<'a> {
         self.pending_races.extend(el.races);
     }
 
-    /// Prepares an engine against the current patch state: the snapshot
-    /// and quiet-subtree analysis pick up the last delta.
+    /// Binds the run's program to the runtime's published dispatch
+    /// table, so the patch state and quiet-subtree analysis pick up the
+    /// last delta. The program is resolved again only when the loaded
+    /// objects changed since (a `dlopen`, `dlclose` or unload race);
+    /// otherwise an epoch pays one bind and no resolution.
     fn bind<'s>(&mut self, session: &'s Session) -> Result<Engine<'s>, DynCapiError> {
-        let (process, runtime, model) =
-            (&session.process, &session.runtime, session.config.overhead);
-        let mut engine = if self.tolerant {
-            Engine::prepare_lenient(process, runtime, model)
-        } else {
-            Engine::prepare(process, runtime, model)
-        }
-        .map_err(DynCapiError::Exec)?
-        .with_redundancy_ppm(self.redundancy_ppm);
-        self.lc_stats.unresolved_calls = self
-            .lc_stats
-            .unresolved_calls
-            .max(engine.unresolved_calls());
+        let program = match &self.program {
+            Some(p) if p.is_current(&session.process) => Arc::clone(p),
+            _ => {
+                let p = ResolvedProgram::resolve(&session.process, self.tolerant)
+                    .map_err(DynCapiError::Exec)?;
+                self.lc_stats.unresolved_calls =
+                    self.lc_stats.unresolved_calls.max(p.unresolved_calls());
+                Arc::clone(self.program.insert(Arc::new(p)))
+            }
+        };
+        let mut engine = Engine::bind(program, &session.runtime, session.config.overhead)
+            .with_redundancy_ppm(self.redundancy_ppm);
         if let Some(t) = &self.tel {
             engine = engine.with_telemetry(t.clone());
         }

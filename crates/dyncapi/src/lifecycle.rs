@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One scripted lifecycle operation. `Open`/`Close`/`Reload`/`Interpose`
-/// run at the *start* of their epoch (before the engine snapshots);
+/// run at the *start* of their epoch (before the engine binds);
 /// `UnloadRace` runs *between* the controller's epoch decision and the
 /// repatch that applies it — the delta was computed against an object
 /// that no longer exists, which is exactly the race the surviving

@@ -1,10 +1,10 @@
 //! The executor core.
 
 use capi_appmodel::MpiCall;
-use capi_mpisim::{MpiError, MpiOp, World};
-use capi_objmodel::{DispatchKind, Process};
+use capi_mpisim::{MpiError, MpiOp, RankCtx, World};
+use capi_objmodel::{Object, Process};
 use capi_obs::{GaugeId, RecordKind, Telemetry};
-use capi_xray::{EventKind, PackedId, PatchSnapshot, XRayError, XRayRuntime};
+use capi_xray::{EventKind, ObjectDispatch, PackedId, XRayError, XRayRuntime};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,10 +105,10 @@ pub struct RunReport {
     pub suppressed_events: u64,
 }
 
-/// Dense function key: index into the engine's flat `funcs` array.
-/// Precomputed at preparation time as `obj_base[loader object index] +
-/// function index`, so the per-trip hot path pays a single bounds check
-/// and no nested `Vec<Vec<_>>` pointer chase.
+/// Dense function key: index into the program's flat `funcs` array.
+/// Precomputed at resolution time as the object's first key + function
+/// index, so the per-trip hot path pays a single bounds check and no
+/// nested `Vec<Vec<_>>` pointer chase.
 type Fi = u32;
 
 struct RFunc {
@@ -117,17 +117,11 @@ struct RFunc {
     imbalance_pct: u32,
     mpi: Option<MpiOp>,
     sites: Vec<RSite>,
-    /// (packed id available, patched) from the snapshot; None = no sled.
-    sled: Option<(capi_xray::PackedId, bool)>,
-    /// Sampling rate (1-in-N) from the snapshot; 1 = full instrumentation.
-    rate: u32,
 }
 
 struct RSite {
     /// Call targets as dense flat indices.
     targets: Vec<Fi>,
-    #[allow(dead_code)]
-    dispatch: DispatchKind,
     trips: u64,
 }
 
@@ -144,101 +138,55 @@ fn convert_mpi(c: MpiCall) -> MpiOp {
     }
 }
 
-/// A prepared execution engine over a loaded, instrumented process.
-///
-/// Preparation resolves every call site to dense `(object, function)`
-/// keys and snapshots the patch state; `run` then replays the program on
-/// every rank of a [`World`].
-pub struct Engine<'p> {
-    runtime: &'p XRayRuntime,
-    model: OverheadModel,
+/// The half of a prepared engine that depends only on the loaded
+/// objects: dense keys, call-site resolution, names, body costs, MPI
+/// operations and the epoch schedule. Resolution is the expensive half
+/// of [`Engine::prepare`]; an adaptive run resolves once per
+/// loaded-object set and binds the shared result to each epoch's patch
+/// state ([`Engine::bind`]).
+pub struct ResolvedProgram {
     /// Flat function table, dense-key indexed (see [`Fi`]).
     funcs: Vec<RFunc>,
+    /// The loaded objects resolved from, in loader order: loader index,
+    /// image, and the dense key of the object's first function. Holding
+    /// the images keeps [`Self::is_current`]'s pointer comparison sound.
+    objects: Vec<(usize, Arc<Object>, Fi)>,
     /// Entry point.
     main: Fi,
-    /// Patch-state snapshot taken at preparation time.
-    snapshot: PatchSnapshot,
-    /// Quiet = subtree has no MPI and no patched sled: memoizable.
-    quiet: Vec<bool>,
     /// Epoch schedule: the program linearized around its progress loop.
     schedule: EpochSchedule,
-    /// Redundancy-suppression band in parts per million; 0 disables the
-    /// band entirely (byte-identical to a build without it).
-    redundancy_ppm: u32,
     /// Call-site target references that resolved to no loaded object and
-    /// were dropped ([`Engine::prepare_lenient`]); 0 on the strict path.
+    /// were dropped (lenient resolution); 0 when strict.
     unresolved_calls: u64,
-    /// Self-telemetry wiring ([`Engine::with_telemetry`]); epoch spans
-    /// and per-epoch event-volume gauges. `None` costs nothing.
-    obs: Option<ExecObs>,
 }
 
-/// Telemetry handles the engine reports through: one span per epoch
-/// plus gauges tracking the per-epoch event volume and its reduction
-/// paths (sampling skips, redundancy suppression).
-struct ExecObs {
-    tel: Telemetry,
-    g_events: GaugeId,
-    g_skips: GaugeId,
-    g_suppressed: GaugeId,
-}
-
-impl<'p> Engine<'p> {
-    /// Prepares an engine for the current state of `process`/`runtime`.
-    pub fn prepare(
-        process: &Process,
-        runtime: &'p XRayRuntime,
-        model: OverheadModel,
-    ) -> Result<Self, ExecError> {
-        Self::prepare_inner(process, runtime, model, false)
-    }
-
-    /// Like [`Self::prepare`], but tolerant of DSO churn: a call-site
-    /// target whose name resolves to *no* loaded object (its DSO was
-    /// `dlclose`d mid-run) is dropped from the site and counted in
-    /// [`Self::unresolved_calls`] instead of failing preparation. The
-    /// program then simply skips those calls — the degradation an
-    /// application sees when a plugin is gone. A missing `main` is still
-    /// a hard error.
-    pub fn prepare_lenient(
-        process: &Process,
-        runtime: &'p XRayRuntime,
-        model: OverheadModel,
-    ) -> Result<Self, ExecError> {
-        Self::prepare_inner(process, runtime, model, true)
-    }
-
-    fn prepare_inner(
-        process: &Process,
-        runtime: &'p XRayRuntime,
-        model: OverheadModel,
-        lenient: bool,
-    ) -> Result<Self, ExecError> {
-        let snapshot = runtime.snapshot();
+impl ResolvedProgram {
+    /// Resolves every call site of `process`'s loaded objects to dense
+    /// keys, in dynamic-linker order. With `lenient`, a call-site target
+    /// no loaded object provides is dropped and counted in
+    /// [`Self::unresolved_calls`] instead of failing (see
+    /// [`Engine::prepare_lenient`]). A missing `main` is always an error.
+    pub fn resolve(process: &Process, lenient: bool) -> Result<Self, ExecError> {
         // Dense keys: functions of loader object `pi` occupy the flat
-        // range `obj_base[pi]..obj_base[pi] + functions.len()`, in
-        // ascending loader-index order.
-        let loaded: Vec<(usize, &capi_objmodel::LoadedObject)> = process.loaded().collect();
-        let max_obj = loaded.iter().map(|(pi, _)| pi + 1).max().unwrap_or(0);
-        let mut obj_base = vec![0u32; max_obj];
+        // range `base..base + functions.len()`, in ascending loader-index
+        // order.
+        let mut objects = Vec::new();
         let mut next = 0u32;
-        for (pi, lo) in &loaded {
-            obj_base[*pi] = next;
+        for (pi, lo) in process.loaded() {
+            objects.push((pi, Arc::clone(&lo.image), next));
             next += lo.image.functions.len() as u32;
         }
         // Name resolution in dynamic-linker order, done once.
         let mut by_name: HashMap<&str, Fi> = HashMap::new();
-        for (pi, lo) in &loaded {
-            for (fi, f) in lo.image.functions.iter().enumerate() {
-                by_name
-                    .entry(f.name.as_str())
-                    .or_insert(obj_base[*pi] + fi as u32);
+        for (_, image, base) in &objects {
+            for (fi, f) in image.functions.iter().enumerate() {
+                by_name.entry(f.name.as_str()).or_insert(base + fi as u32);
             }
         }
         let mut unresolved_calls = 0u64;
         let mut funcs: Vec<RFunc> = Vec::with_capacity(next as usize);
-        for (pi, lo) in &loaded {
-            for (fi, f) in lo.image.functions.iter().enumerate() {
+        for (_, image, _) in &objects {
+            for f in &image.functions {
                 let mut sites = Vec::with_capacity(f.call_sites.len());
                 for s in &f.call_sites {
                     let mut targets = Vec::with_capacity(s.targets.len());
@@ -256,7 +204,6 @@ impl<'p> Engine<'p> {
                     }
                     sites.push(RSite {
                         targets,
-                        dispatch: s.dispatch,
                         trips: s.trips,
                     });
                 }
@@ -266,32 +213,160 @@ impl<'p> Engine<'p> {
                     imbalance_pct: f.imbalance_pct,
                     mpi: f.mpi.map(convert_mpi),
                     sites,
-                    sled: snapshot.lookup(*pi, fi as u32),
-                    rate: snapshot.sample_rate(*pi, fi as u32),
                 });
             }
         }
         let main = *by_name.get("main").ok_or(ExecError::NoMain)?;
-        let quiet = compute_quiet(&funcs);
         let schedule = build_schedule(&funcs, main);
         Ok(Self {
+            funcs,
+            objects,
+            main,
+            schedule,
+            unresolved_calls,
+        })
+    }
+
+    /// Whether `process` still has exactly the loaded objects this
+    /// program was resolved from: the same loader indices holding the
+    /// same images (`Arc::ptr_eq`). Any `dlopen`, `dlclose` or
+    /// rebuild-reload since resolution makes it stale.
+    pub fn is_current(&self, process: &Process) -> bool {
+        let mut loaded = process.loaded();
+        self.objects.iter().all(|(pi, image, _)| {
+            loaded
+                .next()
+                .is_some_and(|(lpi, lo)| lpi == *pi && Arc::ptr_eq(&lo.image, image))
+        }) && loaded.next().is_none()
+    }
+
+    /// Call-site target references dropped by lenient resolution because
+    /// their symbol no longer resolved (0 for strict resolution).
+    pub fn unresolved_calls(&self) -> u64 {
+        self.unresolved_calls
+    }
+}
+
+/// A prepared execution engine over a loaded, instrumented process: a
+/// [`ResolvedProgram`] bound to the runtime's published dispatch table.
+///
+/// Binding pins the table and copies out each function's patch state
+/// and sampling rate, so a run sees one consistent generation; `run`
+/// then replays the program on every rank of a [`World`].
+pub struct Engine<'p> {
+    runtime: &'p XRayRuntime,
+    model: OverheadModel,
+    /// The resolved program, shared by every epoch it stays current for.
+    program: Arc<ResolvedProgram>,
+    /// Per function: (packed id, patched) from the bound table; None =
+    /// no sled.
+    sled: Vec<Option<(PackedId, bool)>>,
+    /// Per function: sampling rate (1-in-N) from the bound table; 1 =
+    /// full instrumentation.
+    rate: Vec<u32>,
+    /// Quiet = subtree has no MPI and no patched sled: memoizable.
+    quiet: Vec<bool>,
+    /// Generation of the bound table; dispatches tolerate sleds
+    /// unpatched after it.
+    generation: u64,
+    /// Redundancy-suppression band in parts per million; 0 disables the
+    /// band entirely (byte-identical to a build without it).
+    redundancy_ppm: u32,
+    /// Self-telemetry wiring ([`Engine::with_telemetry`]); epoch spans
+    /// and per-epoch event-volume gauges. `None` costs nothing.
+    obs: Option<ExecObs>,
+}
+
+/// Telemetry handles the engine reports through: one span per epoch
+/// plus gauges tracking the per-epoch event volume and its reduction
+/// paths (sampling skips, redundancy suppression).
+struct ExecObs {
+    tel: Telemetry,
+    g_events: GaugeId,
+    g_skips: GaugeId,
+    g_suppressed: GaugeId,
+}
+
+impl<'p> Engine<'p> {
+    /// Prepares an engine for the current state of `process`/`runtime`:
+    /// [`ResolvedProgram::resolve`], then [`Self::bind`].
+    pub fn prepare(
+        process: &Process,
+        runtime: &'p XRayRuntime,
+        model: OverheadModel,
+    ) -> Result<Self, ExecError> {
+        let program = ResolvedProgram::resolve(process, false)?;
+        Ok(Self::bind(Arc::new(program), runtime, model))
+    }
+
+    /// Like [`Self::prepare`], but tolerant of DSO churn: a call-site
+    /// target whose name resolves to *no* loaded object (its DSO was
+    /// `dlclose`d mid-run) is dropped from the site and counted in
+    /// [`Self::unresolved_calls`] instead of failing preparation. The
+    /// program then simply skips those calls — the degradation an
+    /// application sees when a plugin is gone. A missing `main` is still
+    /// a hard error.
+    pub fn prepare_lenient(
+        process: &Process,
+        runtime: &'p XRayRuntime,
+        model: OverheadModel,
+    ) -> Result<Self, ExecError> {
+        let program = ResolvedProgram::resolve(process, true)?;
+        Ok(Self::bind(Arc::new(program), runtime, model))
+    }
+
+    /// Binds `program` to the runtime's currently published dispatch
+    /// table: pins it, fills every function's patch state and sampling
+    /// rate from it, and reruns the quiet-subtree analysis. The engine's
+    /// generation is the table's. Cheap next to resolution — the
+    /// adaptation loop binds once per epoch.
+    pub fn bind(
+        program: Arc<ResolvedProgram>,
+        runtime: &'p XRayRuntime,
+        model: OverheadModel,
+    ) -> Self {
+        let table = runtime.published_table();
+        // Loader index → the table entry registered for it.
+        let mut by_pi: Vec<Option<&ObjectDispatch>> = Vec::new();
+        for obj in table.objects.iter().flatten() {
+            if by_pi.len() <= obj.process_index {
+                by_pi.resize(obj.process_index + 1, None);
+            }
+            by_pi[obj.process_index] = Some(obj);
+        }
+        let mut sled = vec![None; program.funcs.len()];
+        let mut rate = vec![1; program.funcs.len()];
+        for (pi, image, base) in &program.objects {
+            let Some(Some(obj)) = by_pi.get(*pi) else {
+                continue;
+            };
+            let fids = obj.fid_by_func.iter().take(image.functions.len());
+            for (key, &fid) in (*base as usize..).zip(fids) {
+                let Some(fid) = fid else { continue };
+                sled[key] = PackedId::pack(obj.object_id, fid)
+                    .ok()
+                    .map(|id| (id, obj.patched[fid as usize]));
+                rate[key] = obj.rate.get(fid as usize).copied().unwrap_or(1).max(1);
+            }
+        }
+        let quiet = compute_quiet(&program.funcs, &sled);
+        Self {
             runtime,
             model,
-            funcs,
-            main,
-            snapshot,
+            program,
+            sled,
+            rate,
             quiet,
-            schedule,
+            generation: table.generation,
             redundancy_ppm: 0,
-            unresolved_calls,
             obs: None,
-        })
+        }
     }
 
     /// Call-site target references dropped by [`Self::prepare_lenient`]
     /// because their symbol no longer resolved (0 for strict prepares).
     pub fn unresolved_calls(&self) -> u64 {
-        self.unresolved_calls
+        self.program.unresolved_calls
     }
 
     /// Enables redundancy suppression: once a function's invocation
@@ -307,7 +382,7 @@ impl<'p> Engine<'p> {
 
     /// Wires the run's telemetry: each [`Self::run_epoch`] then records
     /// an `exec.epoch` span and per-epoch event-volume gauges. Gauge
-    /// registration is idempotent by name, so re-preparing the engine
+    /// registration is idempotent by name, so binding a fresh engine
     /// every epoch (the adaptation loop does) reuses the same slots.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.obs = Some(ExecObs {
@@ -325,16 +400,11 @@ impl<'p> Engine<'p> {
     fn sampling_state(&self) -> Option<SamplingState> {
         let need = self.redundancy_ppm > 0
             || self
-                .funcs
+                .sled
                 .iter()
-                .any(|rf| rf.rate > 1 && matches!(rf.sled, Some((_, true))));
-        need.then(|| SamplingState::new(self.funcs.len()))
-    }
-
-    /// Generation of the patch-state snapshot this engine was prepared
-    /// with; stale if the runtime has changed since.
-    pub fn snapshot_generation(&self) -> u64 {
-        self.snapshot.generation
+                .zip(&self.rate)
+                .any(|(sled, &rate)| rate > 1 && matches!(sled, Some((_, true))));
+        need.then(|| SamplingState::new(self.sled.len()))
     }
 
     /// Runs `main` on every rank of `world` and reports clocks.
@@ -345,23 +415,8 @@ impl<'p> Engine<'p> {
         let skips = AtomicU64::new(0);
         let suppressed = AtomicU64::new(0);
         let results: Vec<Result<u64, ExecError>> = world.run(|ctx| {
-            // Pre-claim this rank thread's dispatch reader slot so the
-            // first event doesn't pay the one-time claim lock.
-            self.runtime.register_reader(ctx.rank);
-            let mut rank_state = RankRun {
-                engine: self,
-                world: &ctx.world,
-                rank: ctx.rank,
-                ranks: ctx.world.size(),
-                memo: vec![None; self.funcs.len()],
-                events: 0,
-                nops: 0,
-                depth_cutoffs: 0,
-                costs: None,
-                regions: None,
-                samp: self.sampling_state(),
-            };
-            let r = rank_state.exec(self.main, 0, 0);
+            let mut rank_state = RankRun::new(self, &ctx, false);
+            let r = rank_state.exec(self.program.main, 0, 0);
             events.fetch_add(rank_state.events, Ordering::Relaxed);
             nops.fetch_add(rank_state.nops, Ordering::Relaxed);
             cutoffs.fetch_add(rank_state.depth_cutoffs, Ordering::Relaxed);
@@ -390,7 +445,7 @@ impl<'p> Engine<'p> {
     /// Trips of the detected progress loop; 0 when no multi-trip loop
     /// exists on the spine (then epoch 0 runs the whole program).
     pub fn epoch_loop_trips(&self) -> u64 {
-        self.schedule.loop_trips
+        self.program.schedule.loop_trips
     }
 
     /// Packed IDs of the spine functions — `main` and the single-trip
@@ -398,18 +453,20 @@ impl<'p> Engine<'p> {
     /// *entered* across epoch boundaries, so in-flight adaptation must
     /// keep them patched (or their entry/exit events become unbalanced).
     pub fn spine_sled_ids(&self) -> Vec<PackedId> {
-        self.schedule
+        self.program
+            .schedule
             .spine
             .iter()
-            .filter_map(|&k| self.funcs[k as usize].sled.map(|(id, _)| id))
+            .filter_map(|&k| self.sled[k as usize].map(|(id, _)| id))
             .collect()
     }
 
     /// Runs one epoch of the schedule on every rank, starting each rank
     /// at its clock from the previous epoch. Running epochs `0..total`
     /// back to back over one [`World`] is exactly one program run —
-    /// except the caller may repatch sleds (and re-`prepare` the engine)
-    /// at every boundary, which is what in-flight adaptation does.
+    /// except the caller may repatch sleds (and [`Self::bind`] the
+    /// program again) at every boundary, which is what in-flight
+    /// adaptation does.
     pub fn run_epoch(
         &self,
         world: &Arc<World>,
@@ -427,7 +484,7 @@ impl<'p> Engine<'p> {
         );
         let span = self.obs.as_ref().map(|o| o.tel.span("exec.epoch"));
         let wall_start = std::time::Instant::now();
-        let sched = &self.schedule;
+        let sched = &self.program.schedule;
         let (trips_lo, trips_hi) = match sched.loop_pos {
             Some(_) => (
                 spec.index as u64 * sched.loop_trips / spec.total as u64,
@@ -447,20 +504,7 @@ impl<'p> Engine<'p> {
             (u64, u64),
         );
         let results: Vec<RankResult> = world.run(|ctx| {
-            self.runtime.register_reader(ctx.rank);
-            let mut rr = RankRun {
-                engine: self,
-                world: &ctx.world,
-                rank: ctx.rank,
-                ranks: ctx.world.size(),
-                memo: vec![None; self.funcs.len()],
-                events: 0,
-                nops: 0,
-                depth_cutoffs: 0,
-                costs: Some(vec![(0, 0); self.funcs.len()]),
-                regions: Some(RegionTrack::new(self.funcs.len())),
-                samp: self.sampling_state(),
-            };
+            let mut rr = RankRun::new(self, &ctx, true);
             let mut clock = start_clocks[ctx.rank as usize];
             let mut res: Result<(), ExecError> = Ok(());
             for (i, step) in sched.steps.iter().enumerate() {
@@ -476,14 +520,14 @@ impl<'p> Engine<'p> {
                 let r = match *step {
                     Step::Enter(key) => rr.enter_function(key, clock),
                     Step::Site { key, site, depth } => {
-                        let trips = self.funcs[key as usize].sites[site].trips;
+                        let trips = rr.funcs[key as usize].sites[site].trips;
                         rr.run_site(key, site, 0, trips, clock, depth)
                     }
                     Step::Loop { key, site, depth } => {
                         rr.run_site(key, site, trips_lo, trips_hi, clock, depth)
                     }
                     Step::Mpi(key) => {
-                        let op = self.funcs[key as usize]
+                        let op = rr.funcs[key as usize]
                             .mpi
                             .expect("Mpi step only for MPI functions");
                         rr.mpi_op(op, clock)
@@ -533,7 +577,8 @@ impl<'p> Engine<'p> {
         let mut per_rank = Vec::with_capacity(ranks);
         let (mut events, mut nops, mut cutoffs, mut busy) = (0u64, 0u64, 0u64, 0u64);
         let (mut skips, mut suppressed) = (0u64, 0u64);
-        let mut merged: Vec<(u64, u64)> = vec![(0, 0); self.funcs.len()];
+        let funcs = &self.program.funcs;
+        let mut merged: Vec<(u64, u64)> = vec![(0, 0); funcs.len()];
         let mut region_cells: Vec<Vec<RegionCell>> = Vec::with_capacity(ranks);
         for (rank, (res, ev, np, dc, costs, cells, (sk, su))) in results.into_iter().enumerate() {
             let end = res?;
@@ -562,11 +607,11 @@ impl<'p> Engine<'p> {
             if visits == 0 {
                 continue;
             }
-            let Some((id, _)) = self.funcs[f].sled else {
+            let Some((id, _)) = self.sled[f] else {
                 continue;
             };
             inst_ns += inst;
-            let rate = self.funcs[f].rate.max(1);
+            let rate = self.rate[f].max(1);
             samples.push(FuncCostSample {
                 id,
                 // Under sampling only every N-th invocation is observed;
@@ -574,13 +619,13 @@ impl<'p> Engine<'p> {
                 // exact (and byte-identical to the unsampled build).
                 visits: visits * rate as u64,
                 inst_ns: inst,
-                body_cost_ns: self.funcs[f].body_cost,
+                body_cost_ns: funcs[f].body_cost,
                 rate,
             });
         }
         let mut talp_samples = Vec::new();
-        for f in 0..self.funcs.len() {
-            let Some((id, _)) = self.funcs[f].sled else {
+        for (f, rf) in funcs.iter().enumerate() {
+            let Some((id, _)) = self.sled[f] else {
                 continue;
             };
             let enters: u64 = region_cells.iter().map(|c| c[f].enters).sum();
@@ -600,7 +645,7 @@ impl<'p> Engine<'p> {
             }
             talp_samples.push(RegionCostSample {
                 id,
-                name: self.funcs[f].name.clone(),
+                name: rf.name.clone(),
                 enters,
                 elapsed_ns: elapsed,
                 useful_per_rank: useful,
@@ -645,13 +690,13 @@ impl<'p> Engine<'p> {
     /// down to the hot subtree by iterative deepening.
     pub fn call_children(&self) -> Vec<(PackedId, Vec<PackedId>)> {
         let mut out: Vec<(PackedId, Vec<PackedId>)> = Vec::new();
-        for rf in &self.funcs {
-            let Some((id, _)) = rf.sled else { continue };
+        for (rf, sled) in self.program.funcs.iter().zip(&self.sled) {
+            let Some((id, _)) = *sled else { continue };
             let mut children: Vec<PackedId> = rf
                 .sites
                 .iter()
                 .flat_map(|s| s.targets.iter())
-                .filter_map(|&t| self.funcs[t as usize].sled.map(|(cid, _)| cid))
+                .filter_map(|&t| self.sled[t as usize].map(|(cid, _)| cid))
                 .collect();
             children.sort_by_key(|c| c.raw());
             children.dedup();
@@ -752,7 +797,7 @@ pub struct EpochOutcome {
 
 /// Computes which functions head quiet subtrees (no MPI, no patched sled
 /// anywhere below, no cycles).
-fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
+fn compute_quiet(funcs: &[RFunc], sled: &[Option<(PackedId, bool)>]) -> Vec<bool> {
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         Unknown,
@@ -775,7 +820,7 @@ fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
                     continue;
                 }
                 let rf = &funcs[f];
-                let own_loud = rf.mpi.is_some() || matches!(rf.sled, Some((_, true)));
+                let own_loud = rf.mpi.is_some() || matches!(sled[f], Some((_, true)));
                 let child_loud = rf
                     .sites
                     .iter()
@@ -1143,6 +1188,8 @@ fn within_ppm(duration: u64, estimate: u64, ppm: u32) -> bool {
 /// Per-rank execution state.
 struct RankRun<'e, 'p> {
     engine: &'e Engine<'p>,
+    /// The engine's resolved function table.
+    funcs: &'e [RFunc],
     world: &'e Arc<World>,
     rank: u32,
     ranks: u32,
@@ -1161,7 +1208,30 @@ struct RankRun<'e, 'p> {
     samp: Option<SamplingState>,
 }
 
-impl RankRun<'_, '_> {
+impl<'e, 'p> RankRun<'e, 'p> {
+    /// Per-rank state for one run on `ctx`'s rank; `tracked` turns on
+    /// the per-function cost and region tracking epoch runs report.
+    /// Pre-claims the rank thread's dispatch reader slot so the first
+    /// event doesn't pay the one-time claim lock.
+    fn new(engine: &'e Engine<'p>, ctx: &'e RankCtx, tracked: bool) -> Self {
+        engine.runtime.register_reader(ctx.rank);
+        let funcs = &engine.program.funcs;
+        Self {
+            engine,
+            funcs,
+            world: &ctx.world,
+            rank: ctx.rank,
+            ranks: ctx.world.size(),
+            memo: vec![None; funcs.len()],
+            events: 0,
+            nops: 0,
+            depth_cutoffs: 0,
+            costs: tracked.then(|| vec![(0, 0); funcs.len()]),
+            regions: tracked.then(|| RegionTrack::new(funcs.len())),
+            samp: engine.sampling_state(),
+        }
+    }
+
     fn body_cost(&self, rf: &RFunc) -> u64 {
         if rf.imbalance_pct == 0 || self.ranks <= 1 {
             return rf.body_cost;
@@ -1178,10 +1248,10 @@ impl RankRun<'_, '_> {
         if let Some(c) = self.memo[f] {
             return c;
         }
-        let rf = &self.engine.funcs[f];
+        let rf = &self.funcs[f];
         let mut ns = self.body_cost(rf);
         let mut nops = 0u64;
-        if rf.sled.is_some() {
+        if self.engine.sled[f].is_some() {
             // Dormant sleds: entry + exits still execute their NOPs.
             ns += 2 * self.engine.model.unpatched_sled_ns;
             nops += 2;
@@ -1205,7 +1275,7 @@ impl RankRun<'_, '_> {
     }
 
     /// Charges one sled event: trampoline cost plus the handler's cost,
-    /// dispatched against the engine's snapshot generation so sleds
+    /// dispatched against the engine's bound generation so sleds
     /// unpatched mid-epoch are tolerated instead of faulting.
     fn sled_event(
         &mut self,
@@ -1220,7 +1290,7 @@ impl RankRun<'_, '_> {
             kind,
             clock,
             self.rank,
-            self.engine.snapshot.generation,
+            self.engine.generation,
         )?;
         self.events += 1;
         if let Some(costs) = &mut self.costs {
@@ -1235,11 +1305,11 @@ impl RankRun<'_, '_> {
 
     /// Entry sled + body cost of one function invocation.
     fn enter_function(&mut self, key: Fi, clock: u64) -> Result<u64, ExecError> {
-        let rf = &self.engine.funcs[key as usize];
+        let rf = &self.funcs[key as usize];
         let mut clock = clock;
-        match rf.sled {
+        match self.engine.sled[key as usize] {
             Some((id, true)) => {
-                if rf.rate > 1 || self.engine.redundancy_ppm > 0 {
+                if self.engine.rate[key as usize] > 1 || self.engine.redundancy_ppm > 0 {
                     clock = self.sampled_entry(key, id, clock)?;
                 } else {
                     clock = self.sled_event(key, id, EventKind::Entry, clock)?;
@@ -1259,10 +1329,9 @@ impl RankRun<'_, '_> {
 
     /// Exit sled of one function invocation.
     fn exit_function(&mut self, key: Fi, clock: u64) -> Result<u64, ExecError> {
-        let rf = &self.engine.funcs[key as usize];
-        match rf.sled {
+        match self.engine.sled[key as usize] {
             Some((id, true)) => {
-                if rf.rate > 1 || self.engine.redundancy_ppm > 0 {
+                if self.engine.rate[key as usize] > 1 || self.engine.redundancy_ppm > 0 {
                     self.sampled_exit(key, id, clock)
                 } else {
                     if let Some(tr) = &mut self.regions {
@@ -1290,7 +1359,7 @@ impl RankRun<'_, '_> {
         clock: u64,
     ) -> Result<u64, ExecError> {
         let f = key as usize;
-        let rate = u64::from(self.engine.funcs[f].rate.max(1));
+        let rate = u64::from(self.engine.rate[f].max(1));
         let entry_clock = clock;
         let mut clock = clock + self.engine.model.patched_sled_ns;
         let (seq, suppress_pending) = {
@@ -1313,7 +1382,7 @@ impl RankRun<'_, '_> {
                 EventKind::Entry,
                 clock,
                 self.rank,
-                self.engine.snapshot.generation,
+                self.engine.generation,
                 seq,
             )? {
                 Some(handler_ns) => {
@@ -1411,11 +1480,11 @@ impl RankRun<'_, '_> {
         clock: u64,
         depth: u32,
     ) -> Result<u64, ExecError> {
-        // Hoist the target slice out of the trip loop: `engine` outlives
-        // `self`'s borrow, so the per-trip body re-indexes neither
-        // `funcs` nor `sites`.
+        // Hoist the target slice out of the trip loop: `engine` and
+        // `funcs` outlive `self`'s borrow, so the per-trip body
+        // re-indexes neither `funcs` nor `sites`.
         let engine = self.engine;
-        let targets: &[Fi] = &engine.funcs[key as usize].sites[si].targets;
+        let targets: &[Fi] = &self.funcs[key as usize].sites[si].targets;
         let n_targets = targets.len();
         if n_targets == 0 {
             return Ok(clock);
@@ -1457,12 +1526,12 @@ impl RankRun<'_, '_> {
         }
         let mut clock = self.enter_function(key, clock)?;
 
-        for si in 0..self.engine.funcs[f].sites.len() {
-            let trips = self.engine.funcs[f].sites[si].trips;
+        for si in 0..self.funcs[f].sites.len() {
+            let trips = self.funcs[f].sites[si].trips;
             clock = self.run_site(key, si, 0, trips, clock, depth)?;
         }
 
-        if let Some(op) = self.engine.funcs[f].mpi {
+        if let Some(op) = self.funcs[f].mpi {
             clock = self.mpi_op(op, clock)?;
         }
 
@@ -1751,7 +1820,10 @@ mod tests {
             .image
             .function_index(name)
             .unwrap();
-        s.runtime.snapshot().lookup(0, fi).unwrap().0
+        let table = s.runtime.published_table();
+        let obj = table.object(0).unwrap();
+        assert_eq!(obj.process_index, 0);
+        PackedId::pack(obj.object_id, obj.fid_by_func[fi as usize].unwrap()).unwrap()
     }
 
     #[test]
@@ -1903,7 +1975,8 @@ mod tests {
                 .image
                 .function_index(name)
                 .unwrap();
-            engine.snapshot.lookup(0, fi).unwrap().0
+            // The executable (loader index 0) holds the first dense keys.
+            engine.sled[fi as usize].unwrap().0
         };
         let step = by_name("step");
         let kernel = by_name("kernel");

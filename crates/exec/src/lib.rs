@@ -24,8 +24,8 @@
 //! still execute every event — the measurement, not the simulation, is
 //! the bottleneck, as it should be.
 //!
-//! **The epoch schedule** (in-flight adaptation's substrate): at
-//! `prepare` time the engine linearizes the program around its dominant
+//! **The epoch schedule** (in-flight adaptation's substrate): when it
+//! resolves a program, the engine linearizes it around its dominant
 //! *progress loop* — starting at `main` it repeatedly descends into the
 //! call site whose subtree carries the most statically estimated
 //! virtual time, as long as that site is a single-trip wrapper; the
@@ -36,7 +36,7 @@
 //! boundary, which adaptation must keep patched (their entry/exit
 //! events would otherwise unbalance). Running epochs `0..total` back to
 //! back over one `World` is bit-identical to a monolithic run — except
-//! the caller may repatch sleds and re-`prepare` at every boundary.
+//! the caller may repatch sleds and re-`bind` at every boundary.
 //!
 //! **Per-epoch measurements**: epoch runs report per-function event
 //! costs ([`FuncCostSample`]) *and* TALP-style per-region efficiency
@@ -50,5 +50,5 @@ pub mod engine;
 
 pub use engine::{
     Engine, EpochOutcome, EpochSpec, ExecError, FuncCostSample, OverheadModel, RegionCostSample,
-    RunReport,
+    ResolvedProgram, RunReport,
 };

@@ -86,7 +86,7 @@ impl MetricStripe {
 }
 
 /// Name directory — cold path only, behind a mutex. Registration is
-/// idempotent by name so repeated wiring (e.g. an engine re-prepared
+/// idempotent by name so repeated wiring (e.g. an engine bound afresh
 /// every epoch) reuses the same slots.
 pub(crate) struct Directory {
     pub(crate) counters: Vec<String>,

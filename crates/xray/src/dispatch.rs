@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 /// Immutable per-object slice of a [`DispatchTable`].
+#[derive(Debug, PartialEq)]
 pub struct ObjectDispatch {
     /// XRay object ID (== index in [`DispatchTable::objects`]).
     pub object_id: u8,

@@ -42,8 +42,7 @@ pub use log::{BasicLog, FdrBuffer, ShardedFdr, ShardedLog};
 pub use packed_id::{IdError, PackedId, FUNC_BITS, MAX_FUNCTION_ID, MAX_OBJECT_ID, OBJ_BITS};
 pub use pass::{instrument_object, InstrumentedObject, PassOptions, PassStats};
 pub use runtime::{
-    ObjectPatchSummary, ObjectSnapshot, PatchDelta, PatchSnapshot, RepatchReport, RuntimeStats,
-    XRayError, XRayRuntime,
+    ObjectPatchSummary, PatchDelta, RepatchReport, RuntimeStats, XRayError, XRayRuntime,
 };
 pub use sled::{SledEntry, SledKind, SledTable, SLED_BYTES};
 pub use trampoline::{AddressingMode, TrampolineFault, TrampolineSet};

@@ -208,6 +208,19 @@ impl Registered {
             inst,
         }
     }
+
+    /// The object's dispatch-table entry under XRay object ID `oid`.
+    fn dispatch_entry(&self, oid: u8) -> ObjectDispatch {
+        ObjectDispatch {
+            object_id: oid,
+            process_index: self.process_index,
+            patched: self.patched.clone().into_boxed_slice(),
+            unpatch_gen: self.unpatch_gen.clone().into_boxed_slice(),
+            fault: self.trampolines.check_dispatch(self.relocated).err(),
+            fid_by_func: self.inst.sleds.fid_by_func.clone().into_boxed_slice(),
+            rate: self.rate.clone().into_boxed_slice(),
+        }
+    }
 }
 
 struct Inner {
@@ -340,7 +353,7 @@ impl XRayRuntime {
     /// handler's `on_event` (a concurrent publisher holding the write
     /// lock waits for that very dispatch to drain — deadlock); debug
     /// builds panic on the misuse. Guard-based readers
-    /// ([`Self::is_patched`], [`Self::snapshot`], dispatch itself) are
+    /// ([`Self::is_patched`], [`Self::sample_rate`], dispatch itself) are
     /// handler-safe.
     fn read_inner(&self, api: &str) -> parking_lot::RwLockReadGuard<'_, Inner> {
         debug_assert_not_dispatching(api);
@@ -372,17 +385,9 @@ impl XRayRuntime {
         // shrinks (deregistration vacates a slot in place).
         objects.resize_with(inner.objects.len(), || None);
         for &oid in touched {
-            objects[oid as usize] = inner.objects[oid as usize].as_ref().map(|r| {
-                Arc::new(ObjectDispatch {
-                    object_id: oid,
-                    process_index: r.process_index,
-                    patched: r.patched.clone().into_boxed_slice(),
-                    unpatch_gen: r.unpatch_gen.clone().into_boxed_slice(),
-                    fault: r.trampolines.check_dispatch(r.relocated).err(),
-                    fid_by_func: r.inst.sleds.fid_by_func.clone().into_boxed_slice(),
-                    rate: r.rate.clone().into_boxed_slice(),
-                })
-            });
+            objects[oid as usize] = inner.objects[oid as usize]
+                .as_ref()
+                .map(|r| Arc::new(r.dispatch_entry(oid)));
         }
         let table = Arc::new(DispatchTable {
             generation: self.generation(),
@@ -922,13 +927,13 @@ impl XRayRuntime {
         self.dispatch_from_snapshot(id, kind, tsc, rank, self.generation())
     }
 
-    /// Like [`Self::dispatch`], but for callers working from a
-    /// [`PatchSnapshot`] taken at `snapshot_generation`. A sled that was
-    /// unpatched *after* that generation is tolerated — the in-flight
-    /// thread already entered the (then-patched) sled, so the event is
-    /// delivered and counted as stale instead of raising
-    /// [`XRayError::NotPatched`]. A sled that was already dormant at the
-    /// snapshot still faults hard.
+    /// Like [`Self::dispatch`], but for callers working from the patch
+    /// state of the table published at `generation` (an engine bound to
+    /// it). A sled that was unpatched *after* that generation is
+    /// tolerated — the in-flight thread already entered the
+    /// (then-patched) sled, so the event is delivered and counted as
+    /// stale instead of raising [`XRayError::NotPatched`]. A sled that
+    /// was already dormant at that generation still faults hard.
     ///
     /// This is the wait-free fast path: no lock, no `Arc` clone — one
     /// striped in-flight bump, one atomic table load, two array indexes,
@@ -936,56 +941,21 @@ impl XRayRuntime {
     /// for the duration of the call, so handlers must never call back
     /// into any API that takes the inner lock — publishers
     /// (registration, patching, `set_handler`) *or* read-lock queries
-    /// like [`Self::stats`]: a concurrent publisher would wait forever
-    /// for the handler's own dispatch to drain while the handler waits
-    /// behind the publisher's write lock. Debug builds panic on the
-    /// misuse; [`Self::is_patched`] and [`Self::snapshot`] are
-    /// guard-based and handler-safe.
+    /// like [`Self::stats`] and [`Self::published_table`]: a concurrent
+    /// publisher would wait forever for the handler's own dispatch to
+    /// drain while the handler waits behind the publisher's write lock.
+    /// Debug builds panic on the misuse; [`Self::is_patched`] and
+    /// [`Self::sample_rate`] are guard-based and handler-safe.
     pub fn dispatch_from_snapshot(
         &self,
         id: PackedId,
         kind: EventKind,
         tsc: u64,
         rank: u32,
-        snapshot_generation: u64,
+        generation: u64,
     ) -> Result<u64, XRayError> {
-        let slot = self.slots.slot_for(rank);
-        let guard = DispatchGuard::enter(&self.table, slot);
-        let table = guard.table();
-        let obj = table
-            .objects
-            .get(id.object() as usize)
-            .and_then(Option::as_ref)
-            .ok_or(XRayError::UnknownObject(id.object()))?;
-        let fidx = id.function() as usize;
-        let patched = obj.patched.get(fidx).copied().unwrap_or(false);
-        let stale = if patched {
-            false
-        } else {
-            let unpatched_at = obj.unpatch_gen.get(fidx).copied().unwrap_or(0);
-            if unpatched_at > snapshot_generation {
-                true
-            } else {
-                return Err(XRayError::NotPatched(id));
-            }
-        };
-        if let Some(fault) = obj.fault {
-            return Err(XRayError::Fault(fault));
-        }
-        slot.dispatches.fetch_add(1, Ordering::Relaxed);
-        if stale {
-            slot.stale_dispatches.fetch_add(1, Ordering::Relaxed);
-        }
-        let Some(handler) = table.handler.as_ref() else {
-            return Ok(0); // patched but no handler installed: sled jumps, returns
-        };
-        let event = Event {
-            id,
-            kind,
-            tsc,
-            rank,
-        };
-        Ok(handler.on_event(event))
+        let delivered = self.dispatch_body::<false>(id, kind, tsc, rank, generation, 0)?;
+        Ok(delivered.unwrap_or(0))
     }
 
     /// The sampled variant of [`Self::dispatch_from_snapshot`]: delivers
@@ -1005,7 +975,24 @@ impl XRayRuntime {
         kind: EventKind,
         tsc: u64,
         rank: u32,
-        snapshot_generation: u64,
+        generation: u64,
+        sample_seq: u64,
+    ) -> Result<Option<u64>, XRayError> {
+        self.dispatch_body::<true>(id, kind, tsc, rank, generation, sample_seq)
+    }
+
+    /// The one dispatch body: table lookup, stale check, fault check,
+    /// then (when `SAMPLED`) the 1-in-N filter and finally the handler
+    /// call. `None` means the event was sampled out; without `SAMPLED`
+    /// the rate is never loaded and the result is always `Some`.
+    #[inline(always)]
+    fn dispatch_body<const SAMPLED: bool>(
+        &self,
+        id: PackedId,
+        kind: EventKind,
+        tsc: u64,
+        rank: u32,
+        generation: u64,
         sample_seq: u64,
     ) -> Result<Option<u64>, XRayError> {
         let slot = self.slots.slot_for(rank);
@@ -1022,7 +1009,7 @@ impl XRayRuntime {
             false
         } else {
             let unpatched_at = obj.unpatch_gen.get(fidx).copied().unwrap_or(0);
-            if unpatched_at > snapshot_generation {
+            if unpatched_at > generation {
                 true
             } else {
                 return Err(XRayError::NotPatched(id));
@@ -1031,17 +1018,19 @@ impl XRayRuntime {
         if let Some(fault) = obj.fault {
             return Err(XRayError::Fault(fault));
         }
-        let rate = obj.rate.get(fidx).copied().unwrap_or(1).max(1);
-        if !sample_seq.is_multiple_of(rate as u64) {
-            slot.sampled_skips.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
+        if SAMPLED {
+            let rate = obj.rate.get(fidx).copied().unwrap_or(1).max(1);
+            if !sample_seq.is_multiple_of(rate as u64) {
+                slot.sampled_skips.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
         }
         slot.dispatches.fetch_add(1, Ordering::Relaxed);
         if stale {
             slot.stale_dispatches.fetch_add(1, Ordering::Relaxed);
         }
         let Some(handler) = table.handler.as_ref() else {
-            return Ok(Some(0));
+            return Ok(Some(0)); // patched but no handler installed: sled jumps, returns
         };
         let event = Event {
             id,
@@ -1159,39 +1148,11 @@ impl XRayRuntime {
             .sum()
     }
 
-    /// Takes a consistent snapshot of the patch state for lock-free use
-    /// on the executor's hot path. Derived from the published dispatch
-    /// table, so it never contends with the write lock and its
-    /// generation always matches the patch state it carries.
-    pub fn snapshot(&self) -> PatchSnapshot {
-        let guard = DispatchGuard::enter(&self.table, self.slots.control());
-        let table = guard.table();
-        let max_pi = table
-            .objects
-            .iter()
-            .flatten()
-            .map(|o| o.process_index + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_process_index: Vec<Option<ObjectSnapshot>> = vec![None; max_pi];
-        for obj in table.objects.iter().flatten() {
-            by_process_index[obj.process_index] = Some(ObjectSnapshot {
-                object_id: obj.object_id,
-                fid_by_func: obj.fid_by_func.to_vec(),
-                patched: obj.patched.to_vec(),
-                rate: obj.rate.to_vec(),
-            });
-        }
-        PatchSnapshot {
-            generation: table.generation,
-            by_process_index,
-        }
-    }
-
     /// The currently published [`DispatchTable`], pinned by its own
-    /// `Arc`. Tests use this to assert the copy-on-write sharing
-    /// contract (`Arc::ptr_eq` on entries a mutation did not touch);
-    /// embedders can use it to inspect the exact table readers see.
+    /// `Arc` — the one source of patch state. The executor binds each
+    /// epoch's per-function patch and rate state from it; tests use it
+    /// to assert the copy-on-write sharing contract (`Arc::ptr_eq` on
+    /// entries a mutation did not touch).
     pub fn published_table(&self) -> Arc<DispatchTable> {
         Arc::clone(&self.read_inner("published_table").current)
     }
@@ -1223,36 +1184,27 @@ impl XRayRuntime {
         (table.generation, objects)
     }
 
-    /// Reference implementation of [`Self::snapshot`] that rebuilds the
-    /// snapshot from the full registration/patch state instead of the
-    /// incrementally published table — the oracle the copy-on-write
-    /// path is checked against (`tests/dispatch_scaling.rs`). Slower
-    /// (takes the read lock, clones everything); not for hot paths.
-    pub fn snapshot_full_rebuild(&self) -> PatchSnapshot {
+    /// Reference implementation of [`Self::published_table`] that
+    /// rebuilds every object entry from the full registration/patch
+    /// state instead of the incrementally published copy-on-write table
+    /// — the oracle the copy-on-write path is checked against, entry by
+    /// entry (`tests/dispatch_scaling.rs`). Slower (takes the read lock,
+    /// clones everything); not for hot paths.
+    pub fn snapshot_full_rebuild(&self) -> DispatchTable {
         let inner = self.read_inner("snapshot_full_rebuild");
-        let max_pi = inner
+        let objects = inner
             .objects
             .iter()
-            .flatten()
-            .map(|r| r.process_index + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_process_index: Vec<Option<ObjectSnapshot>> = vec![None; max_pi];
-        for (oid, reg) in inner.objects.iter().enumerate() {
-            let Some(r) = reg else { continue };
-            by_process_index[r.process_index] = Some(ObjectSnapshot {
-                object_id: oid as u8,
-                fid_by_func: r.inst.sleds.fid_by_func.clone(),
-                patched: r.patched.clone(),
-                rate: r.rate.clone(),
-            });
-        }
+            .enumerate()
+            .map(|(oid, reg)| reg.as_ref().map(|r| Arc::new(r.dispatch_entry(oid as u8))))
+            .collect();
         // Generation only moves under the write lock, which our read
         // lock excludes — so this pairing is as consistent as the
-        // guard-based snapshot's.
-        PatchSnapshot {
+        // published table's.
+        DispatchTable {
             generation: self.generation(),
-            by_process_index,
+            objects,
+            handler: inner.handler.clone(),
         }
     }
 }
@@ -1323,53 +1275,6 @@ pub struct ObjectPatchSummary {
     /// Whether the published entry carries a trampoline fault (the
     /// object dispatches nothing until repatched).
     pub faulted: bool,
-}
-
-/// Patch-state snapshot for the executor's hot path.
-#[derive(Clone, Debug)]
-pub struct PatchSnapshot {
-    /// Runtime generation when the snapshot was taken.
-    pub generation: u64,
-    /// Indexed by loader object index.
-    pub by_process_index: Vec<Option<ObjectSnapshot>>,
-}
-
-/// Per-object slice of a [`PatchSnapshot`].
-#[derive(Clone, Debug)]
-pub struct ObjectSnapshot {
-    /// XRay object ID.
-    pub object_id: u8,
-    /// Function index → XRay function ID.
-    pub fid_by_func: Vec<Option<u32>>,
-    /// Patch state by function ID.
-    pub patched: Vec<bool>,
-    /// Sampling rate (1-in-N) by function ID; 1 = full instrumentation.
-    pub rate: Vec<u32>,
-}
-
-impl PatchSnapshot {
-    /// Looks up the packed ID and patch state for a function, by loader
-    /// object index and object-local function index.
-    #[inline]
-    pub fn lookup(&self, process_index: usize, func_index: u32) -> Option<(PackedId, bool)> {
-        let obj = self.by_process_index.get(process_index)?.as_ref()?;
-        let fid = (*obj.fid_by_func.get(func_index as usize)?)?;
-        let packed = PackedId::pack(obj.object_id, fid).ok()?;
-        Some((packed, obj.patched[fid as usize]))
-    }
-
-    /// The sampling rate recorded for a function (by loader object
-    /// index and object-local function index); 1 when unknown.
-    #[inline]
-    pub fn sample_rate(&self, process_index: usize, func_index: u32) -> u32 {
-        let Some(Some(obj)) = self.by_process_index.get(process_index) else {
-            return 1;
-        };
-        let Some(Some(fid)) = obj.fid_by_func.get(func_index as usize) else {
-            return 1;
-        };
-        obj.rate.get(*fid as usize).copied().unwrap_or(1).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -1661,17 +1566,18 @@ mod tests {
     #[test]
     fn snapshot_reflects_patch_state_and_generation() {
         let (mut f, main_id, _) = registered();
-        let snap0 = f.runtime.snapshot();
+        let snap0 = f.runtime.published_table();
         let id = PackedId::pack(main_id, 0).unwrap();
         f.runtime.patch_function(&mut f.process.memory, id).unwrap();
-        let snap1 = f.runtime.snapshot();
+        let snap1 = f.runtime.published_table();
         assert!(snap1.generation > snap0.generation);
         let entry = f.main_inst.sleds.by_fid(0).unwrap();
-        let (packed, patched) = snap1.lookup(0, entry.func_index).unwrap();
-        assert_eq!(packed, id);
-        assert!(patched);
-        let (_, was_patched) = snap0.lookup(0, entry.func_index).unwrap();
-        assert!(!was_patched);
+        let obj1 = snap1.object(main_id).unwrap();
+        assert_eq!(obj1.process_index, 0);
+        let fid = obj1.fid_by_func[entry.func_index as usize].unwrap();
+        assert_eq!(PackedId::pack(obj1.object_id, fid).unwrap(), id);
+        assert!(obj1.patched[fid as usize]);
+        assert!(!snap0.object(main_id).unwrap().patched[fid as usize]);
     }
 
     #[test]
@@ -1819,7 +1725,7 @@ mod tests {
         let id = PackedId::pack(main_id, 0).unwrap();
         let never = PackedId::pack(main_id, 1).unwrap();
         f.runtime.patch_function(&mut f.process.memory, id).unwrap();
-        let snap_gen = f.runtime.snapshot().generation;
+        let snap_gen = f.runtime.published_table().generation;
         f.runtime
             .repatch(
                 &mut f.process.memory,
@@ -1943,7 +1849,7 @@ mod tests {
             .unwrap();
         assert!(f.runtime.is_patched(id));
         assert_eq!(f.runtime.sample_rate(id), 3);
-        // Rates are clamped to ≥ 1 and visible in snapshots.
+        // Rates are clamped to ≥ 1 and visible in the published table.
         f.runtime
             .repatch(
                 &mut f.process.memory,
@@ -1955,7 +1861,11 @@ mod tests {
             .unwrap();
         assert_eq!(f.runtime.sample_rate(id), 1);
         let entry = f.main_inst.sleds.by_fid(0).unwrap();
-        assert_eq!(f.runtime.snapshot().sample_rate(0, entry.func_index), 1);
+        let table = f.runtime.published_table();
+        let obj = table.object(main_id).unwrap();
+        assert_eq!(obj.process_index, 0);
+        let fid = obj.fid_by_func[entry.func_index as usize].unwrap();
+        assert_eq!(obj.rate[fid as usize], 1);
     }
 
     #[test]

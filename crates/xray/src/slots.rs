@@ -102,7 +102,7 @@ pub(crate) struct RegistryInner {
     max_slots: usize,
     list: Mutex<SlotList>,
     /// Dedicated slot for control-plane readers (`is_patched`,
-    /// `snapshot`): a polling control thread must not share a slot with
+    /// `sample_rate`): a polling control thread must not share a slot with
     /// a rank and starve the publisher by overlapping its windows.
     control: Arc<ReaderSlot>,
     /// Fold-on-release accumulator: counters of departed claimants,
@@ -204,7 +204,7 @@ impl SlotRegistry {
         }
     }
 
-    /// The control-plane slot (snapshot/is_patched readers).
+    /// The control-plane slot (`is_patched`/`sample_rate` readers).
     #[inline]
     pub(crate) fn control(&self) -> &ReaderSlot {
         &self.inner.control

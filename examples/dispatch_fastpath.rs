@@ -8,8 +8,8 @@
 //! 1. no lost events — every dispatched event lands in the sink,
 //! 2. deterministic merge — the trace is identical across runs, in
 //!    (rank, per-rank sequence) order, regardless of interleaving,
-//! 3. stale tolerance — sleds unpatched after the engine's snapshot are
-//!    delivered (and counted) instead of faulting.
+//! 3. stale tolerance — sleds unpatched after the table the engine bound
+//!    are delivered (and counted) instead of faulting.
 //!
 //! Run with `cargo run --release --example dispatch_fastpath`.
 
